@@ -60,20 +60,21 @@ double us_since(Clock::time_point t0) {
 DecisionTree make_synthetic_tree(std::size_t depth, std::size_t num_features,
                                  std::uint64_t salt) {
   const std::size_t n = (std::size_t{1} << depth) - 1;
-  std::vector<DecisionTree::NodeRecord> records(n);
+  std::vector<TreeNode> nodes(n);
+  std::vector<std::uint64_t> count0(n, 0), count1(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    DecisionTree::NodeRecord& r = records[i];
     if (2 * i + 2 < n) {
-      r.left = static_cast<std::int32_t>(2 * i + 1);
-      r.right = static_cast<std::int32_t>(2 * i + 2);
-      r.feature = static_cast<std::uint16_t>((i + salt) % num_features);
-      r.threshold = static_cast<std::int8_t>(static_cast<int>((i + salt) % 3) - 1);
+      nodes[i].left = static_cast<std::int32_t>(2 * i + 1);
+      nodes[i].right = static_cast<std::int32_t>(2 * i + 2);
+      nodes[i].feature = static_cast<std::uint16_t>((i + salt) % num_features);
+      nodes[i].threshold = static_cast<std::int8_t>(static_cast<int>((i + salt) % 3) - 1);
     } else {
-      r.count0 = (i * 31 + salt) % 97;
-      r.count1 = (i * 17 + salt) % 89;
+      count0[i] = (i * 31 + salt) % 97;
+      count1[i] = (i * 17 + salt) % 89;
     }
   }
-  return DecisionTree::from_records(records);
+  const auto bytes = [](const auto& v) { return reinterpret_cast<const unsigned char*>(v.data()); };
+  return DecisionTree::from_image(TreeRef{bytes(nodes), bytes(count0), bytes(count1), n});
 }
 
 GroupModelStore make_synthetic_store(std::size_t tree_depth) {

@@ -94,10 +94,12 @@ class GroupModelStore final : public ModelStore {
   /// CAMLF1 container (kind "models") and published atomically — a
   /// crash mid-save leaves the previous file intact, and a truncated or
   /// bit-flipped file fails load_file with a ParseError naming the file
-  /// and offset instead of loading garbage. load_file also accepts a
-  /// legacy unframed store for backward compatibility. The save streams
-  /// through io::ChecksummedFileWriter, so peak memory stays O(chunk)
-  /// instead of 2-3x the serialized size.
+  /// and offset instead of loading garbage. An unframed file is rejected
+  /// the same way; only `.camodel` files may be unframed. load_file also
+  /// runs find_forest_defect on every forest, so a store whose CRC is
+  /// valid but whose trees cycle or index past a row never loads. The
+  /// save streams through io::ChecksummedFileWriter, so peak memory stays
+  /// O(chunk) instead of 2-3x the serialized size.
   void save_file(const std::string& path) const;
   static GroupModelStore load_file(const std::string& path);
 

@@ -1,5 +1,6 @@
 #include "ml/forest.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.hpp"
@@ -112,54 +113,116 @@ void RandomForest::fit_more(const Dataset& data, std::size_t extra_trees) {
 
 RandomForest RandomForest::assemble(std::vector<DecisionTree> trees,
                                     std::size_t num_features) {
-  CAML_ASSERT(!trees.empty());
   RandomForest forest;
   forest.trees_ = std::move(trees);
   forest.num_features_ = num_features;
+  if (const auto defect = find_forest_defect(forest.tree_refs(), num_features)) {
+    throw ParseError("tree " + std::to_string(defect->tree) + " node " +
+                         std::to_string(defect->node) + ": " + defect->what,
+                     0);
+  }
   return forest;
 }
 
-double RandomForest::predict_proba(const std::int8_t* row) const {
-  CAML_ASSERT(!trees_.empty());
-  double sum = 0.0;
-  for (const DecisionTree& tree : trees_) {
-    const auto [c0, c1] = tree.leaf_votes(row);
-    // A leaf with no recorded votes (possible in loaded forests) casts a
-    // neutral 0.5 instead of poisoning the average with 0/0 = NaN.
-    const std::uint64_t votes = c0 + c1;
-    sum += votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
-  }
-  return sum / static_cast<double>(trees_.size());
+std::vector<TreeRef> RandomForest::tree_refs() const {
+  std::vector<TreeRef> refs;
+  refs.reserve(trees_.size());
+  for (const DecisionTree& tree : trees_) refs.push_back(tree.ref());
+  return refs;
 }
 
-std::uint8_t RandomForest::predict(const std::int8_t* row) const {
+void RandomForest::sweep(Vote vote, const std::int8_t* rows, std::size_t n,
+                         std::size_t stride, double* out) const {
+  sweep_trees(tree_refs(), vote, rows, n, stride, out);
+}
+
+std::optional<ForestDefect> find_forest_defect(const std::vector<TreeRef>& trees,
+                                               std::size_t num_features) {
+  if (trees.empty()) return ForestDefect{0, 0, "forest has no trees"};
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    const TreeRef& tree = trees[t];
+    if (tree.node_count == 0) return ForestDefect{t, 0, "tree has no nodes"};
+    for (std::size_t i = 0; i < tree.node_count; ++i) {
+      const TreeNode node = tree.node(i);
+      if (node.is_leaf()) continue;
+      const auto forward = [&](std::int32_t child) {
+        return child >= 0 && static_cast<std::size_t>(child) > i &&
+               static_cast<std::size_t>(child) < tree.node_count;
+      };
+      if (!forward(node.left) || !forward(node.right)) {
+        return ForestDefect{t, i, "tree node children out of range"};
+      }
+      if (node.feature >= num_features) {
+        return ForestDefect{t, i, "tree node feature index out of range"};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+namespace {
+
+/// Tree-major accumulation of `vote(c0, c1)` over every (tree, row);
+/// rows accumulate in tree order.
+template <typename VoteFn>
+void accumulate_votes(const std::vector<TreeRef>& trees, const std::int8_t* rows,
+                      std::size_t n, std::size_t stride, double* out, VoteFn vote) {
+  std::fill(out, out + n, 0.0);
+  for (const TreeRef& tree : trees) {
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
+      out[r] += vote(c0, c1);
+    }
+  }
+}
+
+}  // namespace
+
+void TreeEnsemble::sweep_trees(const std::vector<TreeRef>& trees, Vote vote,
+                               const std::int8_t* rows, std::size_t n, std::size_t stride,
+                               double* out) {
+  CAML_ASSERT(!trees.empty());
+  const double count = static_cast<double>(trees.size());
+  if (vote == Vote::kSoft) {
+    // A leaf with no recorded votes (possible in loaded forests) casts a
+    // neutral 0.5 instead of poisoning the average with 0/0 = NaN.
+    accumulate_votes(trees, rows, n, stride, out, [](std::uint64_t c0, std::uint64_t c1) {
+      const std::uint64_t votes = c0 + c1;
+      return votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
+    });
+    for (std::size_t r = 0; r < n; ++r) out[r] /= count;
+  } else {
+    // Each tree votes for its majority leaf class; a tie or an empty
+    // leaf is half a vote each way.
+    accumulate_votes(trees, rows, n, stride, out, [](std::uint64_t c0, std::uint64_t c1) {
+      return c1 > c0 ? 1.0 : (c1 == c0 ? 0.5 : 0.0);
+    });
+    for (std::size_t r = 0; r < n; ++r) out[r] = std::abs(2.0 * out[r] / count - 1.0);
+  }
+}
+
+double TreeEnsemble::predict_proba(const std::int8_t* row) const {
+  double proba = 0.0;
+  sweep(Vote::kSoft, row, 1, 0, &proba);
+  return proba;
+}
+
+std::uint8_t TreeEnsemble::predict(const std::int8_t* row) const {
   return predict_proba(row) >= 0.5 ? 1 : 0;
 }
 
-std::vector<double> RandomForest::predict_proba_batch(const std::int8_t* rows, std::size_t n,
+std::vector<double> TreeEnsemble::predict_proba_batch(const std::int8_t* rows, std::size_t n,
                                                       std::size_t stride) const {
-  CAML_ASSERT(!trees_.empty());
   CAML_TRACE_SPAN_ITEMS("predict", n);
   ForestMetrics& metrics = ForestMetrics::get();
   metrics.batch_rows.record(n);
   metrics.rows_predicted.add(n);
-  // Tree-major: the outer loop visits each tree once and classifies all
-  // rows through it, so a tree's node array stays cache-resident across
-  // the whole batch. Per row the votes still accumulate in tree order,
-  // which keeps the floating-point sum identical to predict_proba().
-  std::vector<double> sum(n, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
-      const std::uint64_t votes = c0 + c1;
-      sum[r] += votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
-    }
-  }
-  for (double& s : sum) s /= static_cast<double>(trees_.size());
-  return sum;
+  std::vector<double> proba(n);
+  sweep(Vote::kSoft, rows, n, stride, proba.data());
+  return proba;
 }
 
-std::vector<std::uint8_t> RandomForest::predict_batch(const std::int8_t* rows, std::size_t n,
+std::vector<std::uint8_t> TreeEnsemble::predict_batch(const std::int8_t* rows, std::size_t n,
                                                       std::size_t stride) const {
   const std::vector<double> proba = predict_proba_batch(rows, n, stride);
   std::vector<std::uint8_t> out(n);
@@ -167,25 +230,10 @@ std::vector<std::uint8_t> RandomForest::predict_batch(const std::int8_t* rows, s
   return out;
 }
 
-std::vector<double> RandomForest::predict_margin_batch(const std::int8_t* rows, std::size_t n,
+std::vector<double> TreeEnsemble::predict_margin_batch(const std::int8_t* rows, std::size_t n,
                                                        std::size_t stride) const {
-  CAML_ASSERT(!trees_.empty());
-  // Tree-major like predict_proba_batch, but each tree casts a hard vote
-  // for its majority leaf class (tie or empty leaf: half a vote each
-  // way). Accumulation stays in tree order per row so the margin is the
-  // same double no matter how rows are batched.
-  std::vector<double> vote1(n, 0.0);
-  for (const DecisionTree& tree : trees_) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
-      vote1[r] += c1 > c0 ? 1.0 : (c1 == c0 ? 0.5 : 0.0);
-    }
-  }
   std::vector<double> margin(n);
-  const double trees = static_cast<double>(trees_.size());
-  for (std::size_t r = 0; r < n; ++r) {
-    margin[r] = std::abs(2.0 * vote1[r] / trees - 1.0);
-  }
+  sweep(Vote::kHard, rows, n, stride, margin.data());
   return margin;
 }
 

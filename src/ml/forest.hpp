@@ -1,12 +1,10 @@
 #pragma once
 
-#include <iosfwd>
+#include <optional>
 
 #include "ml/tree.hpp"
 
 namespace caml {
-
-struct LoadedForest;
 
 struct ForestParams {
   std::size_t num_trees = 20;
@@ -30,10 +28,79 @@ struct ForestParams {
   std::size_t jobs = 0;
 };
 
+/// First structural defect of a forest image: which tree and node, and
+/// what is wrong. `node` is 0 for forest- and tree-level defects.
+struct ForestDefect {
+  std::size_t tree = 0;
+  std::size_t node = 0;
+  const char* what = "";
+};
+
+/// The one structural validator every loader runs before a forest may be
+/// walked (text and binary stores alike). It requires at least one tree,
+/// at least one node per tree, both children of every internal node
+/// pointing strictly forward and in range — so every walk terminates
+/// inside the node array — and every split feature below
+/// `num_features`, so a walk never reads past a row. Returns nullopt
+/// when the image is sound.
+std::optional<ForestDefect> find_forest_defect(const std::vector<TreeRef>& trees,
+                                               std::size_t num_features);
+
+/// Soft- and hard-vote inference over a sequence of tree images: the one
+/// implementation behind the owned RandomForest and the mapped
+/// MappedForest (ml/forest_view.hpp). Subclasses only say where their
+/// trees live and what guards reading them.
+///
+/// Every entry point is a tree-major sweep: the outer loop visits each
+/// tree once and walks all rows through it while its nodes are hot in
+/// cache, and per row the votes accumulate in tree order. A row's value
+/// is therefore the same double whatever the batch size, job count or
+/// backend.
+class TreeEnsemble : public Classifier {
+ public:
+  std::uint8_t predict(const std::int8_t* row) const override;
+
+  /// Probability of class 1: the mean over trees of the leaf's class-1
+  /// vote fraction (an empty leaf counts 0.5).
+  double predict_proba(const std::int8_t* row) const;
+
+  /// Batched inference over `n` contiguous rows (`stride` features
+  /// apart) — the call the serving path batches a whole request's
+  /// CA-matrix into. Bit-identical to predict() per row.
+  std::vector<std::uint8_t> predict_batch(const std::int8_t* rows, std::size_t n,
+                                          std::size_t stride) const override;
+
+  /// Batched predict_proba.
+  std::vector<double> predict_proba_batch(const std::int8_t* rows, std::size_t n,
+                                          std::size_t stride) const;
+
+  /// Hard-vote disagreement margin per row: each tree casts one vote for
+  /// its majority leaf class (ties split 0.5/0.5), and the margin is
+  /// |2 * vote1 / trees - 1| — 0 when the ensemble is evenly split,
+  /// 1 when unanimous.
+  std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
+                                           std::size_t stride) const override;
+
+ protected:
+  enum class Vote { kSoft, kHard };
+
+  /// Writes one value per row to `out`: the soft-vote probability
+  /// (kSoft) or the hard-vote margin (kHard). Overrides pass their tree
+  /// images to sweep_trees.
+  virtual void sweep(Vote vote, const std::int8_t* rows, std::size_t n, std::size_t stride,
+                     double* out) const = 0;
+
+  /// The sweep itself. Allocation-free, so it may run inside
+  /// io::with_sigbus_guard.
+  static void sweep_trees(const std::vector<TreeRef>& trees, Vote vote,
+                          const std::int8_t* rows, std::size_t n, std::size_t stride,
+                          double* out);
+};
+
 /// Random Forest: bagged CART trees with per-split feature subsampling
 /// and soft-vote aggregation (summed leaf class frequencies) — the
 /// paper's classifier of choice.
-class RandomForest : public Classifier {
+class RandomForest : public TreeEnsemble {
  public:
   explicit RandomForest(ForestParams params = {}) : params_(params) {}
 
@@ -49,52 +116,31 @@ class RandomForest : public Classifier {
   /// through the same sizes draw the same trees.
   void fit_more(const Dataset& data, std::size_t extra_trees);
 
-  std::uint8_t predict(const std::int8_t* row) const override;
   std::string name() const override { return "RandomForest"; }
-
-  /// Probability of class 1 (fraction of soft votes).
-  double predict_proba(const std::int8_t* row) const;
-
-  /// Batched inference over `n` contiguous rows (`stride` features
-  /// apart): one tree-major sweep instead of n per-row virtual calls.
-  /// Bit-identical to calling predict() per row — each row still
-  /// accumulates its tree votes in tree order — but walks every tree's
-  /// nodes while they are hot in cache. This is the call the serving
-  /// path batches a whole request's CA-matrix into.
-  std::vector<std::uint8_t> predict_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const override;
-
-  /// Batched predict_proba (same traversal as predict_batch).
-  std::vector<double> predict_proba_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const;
-
-  /// Hard-vote disagreement margin per row: each tree casts one vote for
-  /// its majority leaf class (ties split 0.5/0.5), and the margin is
-  /// |2 * vote1 / trees - 1| — 0 when the ensemble is evenly split,
-  /// 1 when unanimous. Votes accumulate in tree order so the margins are
-  /// bit-identical across batch sizes, job counts and store backends
-  /// (MappedForest mirrors the arithmetic exactly).
-  std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                           std::size_t stride) const override;
 
   const std::vector<DecisionTree>& trees() const { return trees_; }
 
   /// Rebuilds a forest from already-constructed trees — the import path
-  /// shared by every non-text loader (e.g. the binary model store).
-  /// Equivalent to what read_forest produces for the same trees.
+  /// of every loader (text and binary stores). Validates the result with
+  /// find_forest_defect and throws caml::ParseError naming the defect.
   static RandomForest assemble(std::vector<DecisionTree> trees, std::size_t num_features);
 
-  /// Feature count seen at fit time (0 before fit / after load without
-  /// metadata).
+  /// Feature count seen at fit time (0 before fit).
   std::size_t num_features() const { return num_features_; }
 
   /// Mean Gini importance per feature across the trees (normalized to
   /// sum 1; empty before fit or after load).
   std::vector<double> feature_importance() const;
 
+ protected:
+  void sweep(Vote vote, const std::int8_t* rows, std::size_t n, std::size_t stride,
+             double* out) const override;
+
  private:
-  friend LoadedForest read_forest(std::istream& in);
   void grow(const Dataset& data, std::size_t count, std::uint64_t seed);
+  /// Built per call, so no view outlives a copy or move of the forest.
+  std::vector<TreeRef> tree_refs() const;
+
   ForestParams params_;
   std::vector<DecisionTree> trees_;
   std::size_t num_features_ = 0;

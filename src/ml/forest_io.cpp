@@ -14,7 +14,7 @@ namespace caml {
 void DecisionTree::save(std::ostream& os) const {
   os << "TREE nodes=" << nodes_.size() << '\n';
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
+    const TreeNode& n = nodes_[i];
     os << n.left << ' ' << n.right << ' ' << n.feature << ' ' << static_cast<int>(n.threshold)
        << ' ' << count0_[i] << ' ' << count1_[i] << '\n';
   }
@@ -39,48 +39,14 @@ DecisionTree DecisionTree::load(std::istream& in, std::size_t& line_no) {
     ++line_no;
     const std::vector<std::string> tok = split(line);
     if (tok.size() != 6) throw ParseError("bad tree node line '" + line + "'", line_no);
-    Node n;
+    TreeNode n;
     n.left = static_cast<std::int32_t>(parse_int64(tok[0], "tree node left child", line_no));
     n.right = static_cast<std::int32_t>(parse_int64(tok[1], "tree node right child", line_no));
     n.feature = static_cast<std::uint16_t>(parse_uint64(tok[2], "tree node feature", line_no));
     n.threshold = static_cast<std::int8_t>(parse_int64(tok[3], "tree node threshold", line_no));
-    const auto max = static_cast<std::int32_t>(count);
-    if (n.left >= max || n.right >= max) {
-      throw ParseError("tree node child out of range", line_no);
-    }
     tree.nodes_.push_back(n);
     tree.count0_.push_back(parse_uint64(tok[4], "tree node count0", line_no));
     tree.count1_.push_back(parse_uint64(tok[5], "tree node count1", line_no));
-  }
-  if (tree.nodes_.empty()) throw ParseError("empty tree", line_no);
-  return tree;
-}
-
-DecisionTree::NodeRecord DecisionTree::node_record(std::size_t i) const {
-  CAML_ASSERT(i < nodes_.size());
-  const Node& n = nodes_[i];
-  return NodeRecord{n.left, n.right, n.feature, n.threshold, count0_[i], count1_[i]};
-}
-
-DecisionTree DecisionTree::from_records(const std::vector<NodeRecord>& records) {
-  if (records.empty()) throw ParseError("empty tree", 0);
-  DecisionTree tree;
-  tree.nodes_.reserve(records.size());
-  tree.count0_.reserve(records.size());
-  tree.count1_.reserve(records.size());
-  const auto max = static_cast<std::int32_t>(records.size());
-  for (const NodeRecord& r : records) {
-    if (r.left >= max || r.right >= max) {
-      throw ParseError("tree node child out of range", 0);
-    }
-    Node n;
-    n.left = r.left;
-    n.right = r.right;
-    n.feature = r.feature;
-    n.threshold = r.threshold;
-    tree.nodes_.push_back(n);
-    tree.count0_.push_back(r.count0);
-    tree.count1_.push_back(r.count1);
   }
   return tree;
 }
@@ -101,17 +67,15 @@ LoadedForest read_forest(std::istream& in) {
       head[2].rfind("features=", 0) != 0) {
     throw ParseError("bad FOREST header '" + line + "'", line_no);
   }
-  LoadedForest out;
-  const std::size_t trees = parse_size(head[1].substr(6), "FOREST tree count", line_no);
-  out.num_features = parse_size(head[2].substr(9), "FOREST feature count", line_no);
-  out.forest.num_features_ = out.num_features;
-  for (std::size_t t = 0; t < trees; ++t) {
-    out.forest.trees_.push_back(DecisionTree::load(in, line_no));
-  }
+  const std::size_t count = parse_size(head[1].substr(6), "FOREST tree count", line_no);
+  const std::size_t num_features =
+      parse_size(head[2].substr(9), "FOREST feature count", line_no);
+  std::vector<DecisionTree> trees;
+  for (std::size_t t = 0; t < count; ++t) trees.push_back(DecisionTree::load(in, line_no));
   if (!std::getline(in, line) || trim(line) != "ENDFOREST") {
     throw ParseError("missing ENDFOREST", line_no);
   }
-  return out;
+  return LoadedForest{RandomForest::assemble(std::move(trees), num_features), num_features};
 }
 
 void write_forest_file(const std::string& path, const RandomForest& forest,
@@ -122,7 +86,7 @@ void write_forest_file(const std::string& path, const RandomForest& forest,
 }
 
 LoadedForest read_forest_file(const std::string& path) {
-  std::istringstream payload(io::read_checksummed_or_raw(path, "forest"));
+  std::istringstream payload(io::read_checksummed_file(path, "forest"));
   try {
     return read_forest(payload);
   } catch (const ParseError& e) {

@@ -21,7 +21,8 @@ void write_forest(std::ostream& os, const RandomForest& forest, std::size_t num_
 
 /// Reads a forest written by write_forest. Returns the forest and the
 /// feature count it was trained with. Throws caml::ParseError on
-/// malformed input.
+/// malformed input, including any structural defect find_forest_defect
+/// reports (cycles, out-of-range children or features, no trees).
 struct LoadedForest {
   RandomForest forest;
   std::size_t num_features = 0;
@@ -31,8 +32,8 @@ LoadedForest read_forest(std::istream& in);
 /// Durable single-forest file: the write_forest text wrapped in a
 /// checksummed CAMLF1 container (kind "forest") and published
 /// atomically. read_forest_file rejects truncated or bit-flipped files
-/// with a ParseError naming the file and offset; a legacy unframed
-/// forest file is still accepted.
+/// with a ParseError naming the file and offset, and so does an unframed
+/// file: forest files have been framed since the container existed.
 void write_forest_file(const std::string& path, const RandomForest& forest,
                        std::size_t num_features);
 LoadedForest read_forest_file(const std::string& path);

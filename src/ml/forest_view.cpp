@@ -1,131 +1,20 @@
 #include "ml/forest_view.hpp"
 
-#include <cmath>
-
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/sigguard.hpp"
 
 namespace caml {
 
-namespace {
-
-/// Same inference counters forest.cpp feeds, so serve traffic on a
-/// mapped store shows up in the identical caml_forest_* metrics.
-struct MappedForestMetrics {
-  obs::Histogram& batch_rows;
-  obs::Counter& rows_predicted;
-
-  static MappedForestMetrics& get() {
-    static MappedForestMetrics m{
-        obs::Registry::global().histogram("caml_forest_batch_rows",
-                                          "Rows per predict_proba_batch call"),
-        obs::Registry::global().counter("caml_forest_rows_predicted_total",
-                                        "Rows classified across all batch predictions"),
-    };
-    return m;
-  }
-};
-
-}  // namespace
-
 void MappedForest::fit(const Dataset&) {
   throw Error("MappedForest is a read-only view over a mapped store and cannot be fitted");
 }
 
-std::pair<std::uint64_t, std::uint64_t> MappedForest::leaf_votes(const TreeRef& tree,
-                                                                 const std::int8_t* row) {
-  std::size_t at = 0;
-  for (;;) {
-    const PackedNode node = decode_packed_node(tree.nodes + at * kPackedNodeBytes);
-    if (node.is_leaf()) {
-      return {read_u64(tree.count0 + at * 8), read_u64(tree.count1 + at * 8)};
-    }
-    at = static_cast<std::size_t>(row[node.feature] <= node.threshold ? node.left
-                                                                      : node.right);
-  }
-}
-
-/// Every traversal of the raw mapping runs under a SIGBUS guard: if the
-/// backing file is truncated under us, the fault becomes a MappingFault
-/// throw instead of killing the daemon. The guarded lambdas are
-/// longjmp-safe by construction — plain reads and arithmetic into
-/// storage allocated before the guard.
-constexpr const char* kForestFault =
-    "SIGBUS while traversing the mapped model store (backing file truncated or rewritten "
-    "in place under the mapping)";
-
-double MappedForest::predict_proba(const std::int8_t* row) const {
-  CAML_ASSERT(!trees_.empty());
-  double sum = 0.0;
-  io::with_sigbus_guard(kForestFault, [&] {
-    for (const TreeRef& tree : trees_) {
-      const auto [c0, c1] = leaf_votes(tree, row);
-      const std::uint64_t votes = c0 + c1;
-      sum += votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
-    }
-  });
-  return sum / static_cast<double>(trees_.size());
-}
-
-std::uint8_t MappedForest::predict(const std::int8_t* row) const {
-  return predict_proba(row) >= 0.5 ? 1 : 0;
-}
-
-std::vector<double> MappedForest::predict_proba_batch(const std::int8_t* rows, std::size_t n,
-                                                      std::size_t stride) const {
-  CAML_ASSERT(!trees_.empty());
-  CAML_TRACE_SPAN_ITEMS("predict", n);
-  MappedForestMetrics& metrics = MappedForestMetrics::get();
-  metrics.batch_rows.record(n);
-  metrics.rows_predicted.add(n);
-  // Tree-major sweep with votes accumulated per row in tree order — the
-  // exact summation RandomForest::predict_proba_batch performs, so the
-  // probabilities (and therefore the labels) are bit-identical.
-  std::vector<double> sum(n, 0.0);
-  io::with_sigbus_guard(kForestFault, [&] {
-    for (const TreeRef& tree : trees_) {
-      for (std::size_t r = 0; r < n; ++r) {
-        const auto [c0, c1] = leaf_votes(tree, rows + r * stride);
-        const std::uint64_t votes = c0 + c1;
-        sum[r] += votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
-      }
-    }
-  });
-  for (double& s : sum) s /= static_cast<double>(trees_.size());
-  return sum;
-}
-
-std::vector<std::uint8_t> MappedForest::predict_batch(const std::int8_t* rows, std::size_t n,
-                                                      std::size_t stride) const {
-  const std::vector<double> proba = predict_proba_batch(rows, n, stride);
-  std::vector<std::uint8_t> out(n);
-  for (std::size_t r = 0; r < n; ++r) out[r] = proba[r] >= 0.5 ? 1 : 0;
-  return out;
-}
-
-std::vector<double> MappedForest::predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                                       std::size_t stride) const {
-  CAML_ASSERT(!trees_.empty());
-  // Mirrors RandomForest::predict_margin_batch expression for expression
-  // (hard vote per tree, tree-order accumulation), so margins from a
-  // mapped store are bit-identical to the text-loaded forest's.
-  std::vector<double> vote1(n, 0.0);
-  io::with_sigbus_guard(kForestFault, [&] {
-    for (const TreeRef& tree : trees_) {
-      for (std::size_t r = 0; r < n; ++r) {
-        const auto [c0, c1] = leaf_votes(tree, rows + r * stride);
-        vote1[r] += c1 > c0 ? 1.0 : (c1 == c0 ? 0.5 : 0.0);
-      }
-    }
-  });
-  std::vector<double> margin(n);
-  const double trees = static_cast<double>(trees_.size());
-  for (std::size_t r = 0; r < n; ++r) {
-    margin[r] = std::abs(2.0 * vote1[r] / trees - 1.0);
-  }
-  return margin;
+void MappedForest::sweep(Vote vote, const std::int8_t* rows, std::size_t n, std::size_t stride,
+                         double* out) const {
+  io::with_sigbus_guard(
+      "SIGBUS while traversing the mapped model store (backing file truncated or rewritten "
+      "in place under the mapping)",
+      [&] { sweep_trees(trees_, vote, rows, n, stride, out); });
 }
 
 }  // namespace caml

@@ -1,73 +1,20 @@
 #pragma once
 
-#include <cstring>
-
-#include "ml/classifier.hpp"
-#include "ml/tree.hpp"
+#include "ml/forest.hpp"
 
 namespace caml {
 
-/// Packed on-disk tree node: the PR 5 hot-traversal layout (left, right,
-/// feature, threshold in 16 bytes) persisted verbatim, so a mapped store
-/// walks trees with the same memory shape the in-memory kernel tuned
-/// for. Field offsets are fixed (0/4/8/10, 5 zero pad bytes) and all
-/// values little-endian-native; accessors go through memcpy so the
-/// mapping may start at any byte alignment.
-inline constexpr std::size_t kPackedNodeBytes = 16;
-
-struct PackedNode {
-  std::int32_t left = -1;
-  std::int32_t right = -1;
-  std::uint16_t feature = 0;
-  std::int8_t threshold = 0;
-
-  bool is_leaf() const { return left < 0; }
-};
-
-inline PackedNode decode_packed_node(const unsigned char* p) {
-  PackedNode n;
-  std::memcpy(&n.left, p, 4);
-  std::memcpy(&n.right, p + 4, 4);
-  std::memcpy(&n.feature, p + 8, 2);
-  std::memcpy(&n.threshold, p + 10, 1);
-  return n;
-}
-
-inline void encode_packed_node(const DecisionTree::NodeRecord& r, unsigned char* p) {
-  std::memcpy(p, &r.left, 4);
-  std::memcpy(p + 4, &r.right, 4);
-  std::memcpy(p + 8, &r.feature, 2);
-  std::memcpy(p + 10, &r.threshold, 1);
-  std::memset(p + 11, 0, 5);
-}
-
-inline std::uint64_t read_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-/// Random Forest over externally owned packed sections — the zero-copy
-/// read side of the binary model store. Each tree is three raw spans
-/// inside one read-only mapping (packed nodes, leaf count0[], leaf
-/// count1[]); predict traverses them in place, no parse, no copy, no
-/// ownership. Vote aggregation replicates RandomForest bit for bit:
-/// per-row soft votes accumulate in tree order with the identical
-/// floating-point expression, so a mapped store and a text-loaded store
-/// answer byte-identically (enforced by tests/store_test.cpp).
+/// Random Forest over externally owned tree images — the zero-copy read
+/// side of the binary model store. Each tree is a TreeRef into one
+/// read-only mapping; inference walks it in place, no parse, no copy, no
+/// ownership, through the same TreeEnsemble sweeps RandomForest uses, so
+/// a mapped store and a text-loaded store answer byte-identically.
 ///
 /// Lifetime: the spans must outlive the view (MappedModelStore keeps the
 /// mapping alive). Thread safety: predict is const over immutable bytes,
 /// safe to share across serve workers like RandomForest.
-class MappedForest final : public Classifier {
+class MappedForest final : public TreeEnsemble {
  public:
-  struct TreeRef {
-    const unsigned char* nodes = nullptr;   ///< node_count * 16 bytes
-    const unsigned char* count0 = nullptr;  ///< node_count u64 leaf votes
-    const unsigned char* count1 = nullptr;
-    std::size_t node_count = 0;
-  };
-
   MappedForest() = default;
   MappedForest(std::vector<TreeRef> trees, std::size_t num_features)
       : trees_(std::move(trees)), num_features_(num_features) {}
@@ -75,27 +22,18 @@ class MappedForest final : public Classifier {
   /// Mapped forests are read-only snapshots; training them is a misuse.
   void fit(const Dataset&) override;
 
-  std::uint8_t predict(const std::int8_t* row) const override;
-  double predict_proba(const std::int8_t* row) const;
-  std::vector<std::uint8_t> predict_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const override;
-  std::vector<double> predict_proba_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const;
-
-  /// Hard-vote disagreement margin, bit-identical to
-  /// RandomForest::predict_margin_batch over the same trees.
-  std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                           std::size_t stride) const override;
-
   std::string name() const override { return "MappedForest"; }
 
   std::size_t num_trees() const { return trees_.size(); }
   std::size_t num_features() const { return num_features_; }
   const TreeRef& tree(std::size_t t) const { return trees_[t]; }
 
-  /// Leaf votes of one tree for one row (the traversal primitive).
-  static std::pair<std::uint64_t, std::uint64_t> leaf_votes(const TreeRef& tree,
-                                                            const std::int8_t* row);
+ protected:
+  /// Runs the sweep under a SIGBUS guard: if the backing file is
+  /// truncated under the mapping, the fault becomes an io::MappingFault
+  /// throw instead of killing the daemon.
+  void sweep(Vote vote, const std::int8_t* rows, std::size_t n, std::size_t stride,
+             double* out) const override;
 
  private:
   std::vector<TreeRef> trees_;

@@ -1,6 +1,7 @@
 #include "ml/tree.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -78,7 +79,7 @@ std::int32_t DecisionTree::build(const Dataset& data, const ColumnView& columns,
   }
   const std::uint64_t n = node_count0 + node_count1;
   const std::int32_t id = static_cast<std::int32_t>(nodes_.size());
-  nodes_.push_back(Node{});
+  nodes_.push_back(TreeNode{});
   count0_.push_back(node_count0);
   count1_.push_back(node_count1);
 
@@ -201,14 +202,23 @@ std::uint8_t DecisionTree::predict(const std::int8_t* row) const {
   return c1 > c0 ? 1 : 0;
 }
 
-std::pair<std::uint64_t, std::uint64_t> DecisionTree::leaf_votes(const std::int8_t* row) const {
-  CAML_ASSERT(!nodes_.empty());
-  std::size_t at = 0;
-  for (;;) {
-    const Node& node = nodes_[at];
-    if (node.is_leaf()) return {count0_[at], count1_[at]};
-    at = static_cast<std::size_t>(row[node.feature] <= node.threshold ? node.left : node.right);
+TreeRef DecisionTree::ref() const {
+  const auto bytes = [](const auto& v) { return reinterpret_cast<const unsigned char*>(v.data()); };
+  return TreeRef{bytes(nodes_), bytes(count0_), bytes(count1_), nodes_.size()};
+}
+
+DecisionTree DecisionTree::from_image(const TreeRef& image) {
+  DecisionTree tree;
+  const std::size_t n = image.node_count;
+  tree.nodes_.resize(n);
+  tree.count0_.resize(n);
+  tree.count1_.resize(n);
+  if (n > 0) {
+    std::memcpy(tree.nodes_.data(), image.nodes, n * sizeof(TreeNode));
+    std::memcpy(tree.count0_.data(), image.count0, n * 8);
+    std::memcpy(tree.count1_.data(), image.count1, n * 8);
   }
+  return tree;
 }
 
 std::size_t DecisionTree::depth() const {
@@ -219,7 +229,7 @@ std::size_t DecisionTree::depth() const {
     const auto [at, d] = stack.back();
     stack.pop_back();
     best = std::max(best, d);
-    const Node& node = nodes_[at];
+    const TreeNode& node = nodes_[at];
     if (!node.is_leaf()) {
       stack.push_back({static_cast<std::size_t>(node.left), d + 1});
       stack.push_back({static_cast<std::size_t>(node.right), d + 1});

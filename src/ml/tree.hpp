@@ -1,11 +1,83 @@
 #pragma once
 
+#include <cstddef>
+#include <cstring>
 #include <iosfwd>
+#include <type_traits>
+#include <utility>
 
 #include "ml/classifier.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace caml {
+
+/// One tree node, 16 bytes: the fields a walk touches, four nodes per
+/// cache line. This is also the node record of the binary store's tree
+/// sections (docs/FORMATS.md): fields at offsets 0/4/8/10, native byte
+/// order, and five explicit zero bytes of padding, so a tree's node
+/// array *is* its on-disk image and copies in or out with one memcpy.
+/// The cold leaf vote counts live in parallel u64 arrays (TreeRef).
+struct alignas(16) TreeNode {
+  // Internal node: feature/threshold with children; leaf: children -1.
+  std::int32_t left = -1;
+  std::int32_t right = -1;
+  std::uint16_t feature = 0;
+  std::int8_t threshold = 0;  // go left iff value <= threshold
+  std::uint8_t padding[5] = {};
+  bool is_leaf() const { return left < 0; }
+};
+static_assert(sizeof(TreeNode) == 16 && offsetof(TreeNode, left) == 0 &&
+                  offsetof(TreeNode, right) == 4 && offsetof(TreeNode, feature) == 8 &&
+                  offsetof(TreeNode, threshold) == 10,
+              "TreeNode is the binary store's node record; its layout is a file format");
+static_assert(std::has_unique_object_representations_v<TreeNode>,
+              "every TreeNode byte is a named field, so node images are deterministic");
+
+/// Non-owning view of one tree's image: node_count TreeNodes, then the
+/// leaf vote counts of class 0 and class 1 (u64 each, parallel to the
+/// nodes). It points either into a DecisionTree or straight into a
+/// mapped binary store, where sections may start at any byte alignment
+/// — hence raw bytes decoded through memcpy. The walk trusts the image:
+/// only a tree that passed find_forest_defect (ml/forest.hpp) may be
+/// walked.
+struct TreeRef {
+  const unsigned char* nodes = nullptr;
+  const unsigned char* count0 = nullptr;
+  const unsigned char* count1 = nullptr;
+  std::size_t node_count = 0;
+
+  TreeNode node(std::size_t i) const {
+    TreeNode n;
+    std::memcpy(&n, nodes + i * sizeof(TreeNode), sizeof(TreeNode));
+    return n;
+  }
+
+  /// Weighted votes of the leaf the row lands in: {count0, count1}.
+  /// Reads `left` alone first and the other fields only on internal
+  /// nodes: copying whole nodes made the in-memory walk ~12% slower.
+  std::pair<std::uint64_t, std::uint64_t> leaf_votes(const std::int8_t* row) const {
+    std::size_t at = 0;
+    for (;;) {
+      const unsigned char* p = nodes + at * sizeof(TreeNode);
+      std::int32_t left = 0;
+      std::memcpy(&left, p + offsetof(TreeNode, left), 4);
+      if (left < 0) {
+        std::uint64_t c0 = 0, c1 = 0;
+        std::memcpy(&c0, count0 + at * 8, 8);
+        std::memcpy(&c1, count1 + at * 8, 8);
+        return {c0, c1};
+      }
+      std::int32_t right = 0;
+      std::uint16_t feature = 0;
+      std::int8_t threshold = 0;
+      std::memcpy(&right, p + offsetof(TreeNode, right), 4);
+      std::memcpy(&feature, p + offsetof(TreeNode, feature), 2);
+      std::memcpy(&threshold, p + offsetof(TreeNode, threshold), 1);
+      at = static_cast<std::size_t>(row[feature] <= threshold ? left : right);
+    }
+  }
+};
 
 /// CART decision-tree hyperparameters shared with the forest.
 struct TreeParams {
@@ -43,32 +115,26 @@ class DecisionTree : public Classifier {
   std::string name() const override { return "DecisionTree"; }
 
   /// Weighted votes of the leaf the row lands in: {count0, count1}.
-  std::pair<std::uint64_t, std::uint64_t> leaf_votes(const std::int8_t* row) const;
+  std::pair<std::uint64_t, std::uint64_t> leaf_votes(const std::int8_t* row) const {
+    CAML_ASSERT(!nodes_.empty());
+    return ref().leaf_votes(row);
+  }
 
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t depth() const;
 
-  /// Flat-node serialization used by the forest I/O (ml/forest_io.hpp).
+  /// This tree's image. Valid until the tree is modified or destroyed.
+  TreeRef ref() const;
+
+  /// Copies a tree image into an owning tree — the import path of the
+  /// binary store and of synthetic trees. Does not validate: the caller
+  /// assembles the result through RandomForest::assemble, which does.
+  static DecisionTree from_image(const TreeRef& image);
+
+  /// Text node lines used by the forest I/O (ml/forest_io.hpp). load
+  /// checks only the syntax; read_forest validates the structure.
   void save(std::ostream& os) const;
   static DecisionTree load(std::istream& in, std::size_t& line_no);
-
-  /// One flat node in serialization order — exactly the six fields the
-  /// text format carries, so every store format (text lines, packed
-  /// binary sections) round-trips through the same record.
-  struct NodeRecord {
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    std::uint16_t feature = 0;
-    std::int8_t threshold = 0;
-    std::uint64_t count0 = 0;
-    std::uint64_t count1 = 0;
-  };
-  NodeRecord node_record(std::size_t i) const;
-
-  /// Rebuilds a tree from flat records (the binary-store import path).
-  /// Applies the same structural checks as the text loader: non-empty,
-  /// children in range. Throws caml::ParseError on violation.
-  static DecisionTree from_records(const std::vector<NodeRecord>& records);
 
   /// Gini importance per feature (weighted impurity decrease summed over
   /// this tree's splits, normalized to sum 1; all-zero when the tree is
@@ -76,28 +142,13 @@ class DecisionTree : public Classifier {
   const std::vector<double>& feature_importance() const { return importance_; }
 
  private:
-  /// Hot traversal record: exactly the fields predict()/leaf_votes()
-  /// touch while walking the tree, padded to 16 bytes so four nodes share
-  /// a cache line and the node array stays SoA-friendly. The cold leaf
-  /// vote counts live in the parallel count0_/count1_ arrays and are read
-  /// only once per lookup, at the leaf.
-  struct alignas(16) Node {
-    // Internal node: feature/threshold with children; leaf: children -1.
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    std::uint16_t feature = 0;
-    std::int8_t threshold = 0;  // go left iff value <= threshold
-    bool is_leaf() const { return left < 0; }
-  };
-  static_assert(sizeof(Node) == 16, "hot node record must stay 16 bytes");
-
   std::int32_t build(const Dataset& data, const ColumnView& columns,
                      std::vector<std::uint32_t>& indices, std::size_t begin, std::size_t end,
                      std::size_t depth);
 
   TreeParams params_;
   Rng rng_;
-  std::vector<Node> nodes_;
+  std::vector<TreeNode> nodes_;
   // Weighted leaf votes, parallel to nodes_ (cold fields, SoA layout).
   std::vector<std::uint64_t> count0_;
   std::vector<std::uint64_t> count1_;

@@ -20,6 +20,12 @@ std::uint32_t read_u32(const unsigned char* p) {
   return v;
 }
 
+std::uint64_t read_u64(const unsigned char* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
 void append_u32(std::string& out, std::uint32_t v) {
   char buf[4];
   std::memcpy(buf, &v, 4);
@@ -51,28 +57,22 @@ MatrixOptions flags_to_matrix(std::uint32_t flags) {
 }
 
 std::uint64_t tree_section_bytes(std::uint64_t node_count) {
-  // header + packed nodes + count0 + count1.
-  return kTreeHeaderBytes + node_count * (kPackedNodeBytes + 8 + 8);
+  // header + nodes + count0 + count1.
+  return kTreeHeaderBytes + node_count * (sizeof(TreeNode) + 8 + 8);
 }
 
-/// Encodes one tree section (header, nodes, count0, count1) appended to
-/// `out`. Shared by the CRC pre-pass and the write pass so both see the
-/// exact same bytes.
-void encode_tree(const DecisionTree& tree, std::string& out) {
-  const std::size_t nc = tree.num_nodes();
+/// Encodes one tree section (header, then the tree's image verbatim)
+/// into `out`. Shared by the CRC pre-pass and the write pass so both see
+/// the exact same bytes.
+void encode_tree(const TreeRef& tree, std::string& out) {
+  const std::size_t nc = tree.node_count;
   out.clear();
   out.reserve(tree_section_bytes(nc));
   append_u64(out, nc);
   append_u64(out, 0);  // reserved
-  unsigned char node[kPackedNodeBytes];
-  std::vector<DecisionTree::NodeRecord> records(nc);
-  for (std::size_t i = 0; i < nc; ++i) records[i] = tree.node_record(i);
-  for (std::size_t i = 0; i < nc; ++i) {
-    encode_packed_node(records[i], node);
-    out.append(reinterpret_cast<const char*>(node), kPackedNodeBytes);
-  }
-  for (std::size_t i = 0; i < nc; ++i) append_u64(out, records[i].count0);
-  for (std::size_t i = 0; i < nc; ++i) append_u64(out, records[i].count1);
+  out.append(reinterpret_cast<const char*>(tree.nodes), nc * sizeof(TreeNode));
+  out.append(reinterpret_cast<const char*>(tree.count0), nc * 8);
+  out.append(reinterpret_cast<const char*>(tree.count1), nc * 8);
 }
 
 struct SectionPlan {
@@ -128,7 +128,7 @@ void write_binary_store_file(const std::string& path, const GroupModelStore& sto
   std::string scratch;
   for (const SectionPlan& s : plan) {
     for (const DecisionTree& tree : s.forest->trees()) {
-      encode_tree(tree, scratch);
+      encode_tree(tree.ref(), scratch);
       data_crc.update(scratch);
     }
   }
@@ -153,7 +153,7 @@ void write_binary_store_file(const std::string& path, const GroupModelStore& sto
   writer.write(index.data(), index.size());
   for (const SectionPlan& s : plan) {
     for (const DecisionTree& tree : s.forest->trees()) {
-      encode_tree(tree, scratch);
+      encode_tree(tree.ref(), scratch);
       writer.write(scratch.data(), scratch.size());
     }
   }
@@ -349,7 +349,7 @@ MappedModelStore MappedModelStore::open(const std::string& path, Verify verify) 
 
     // Walk the tree sections: O(1) per tree (header only), so opening a
     // store stays independent of node counts.
-    std::vector<MappedForest::TreeRef> trees;
+    std::vector<TreeRef> trees;
     trees.reserve(info.num_trees);
     std::uint64_t at = info.forest_offset;
     const std::uint64_t section_end = info.forest_offset + info.forest_size;
@@ -362,16 +362,16 @@ MappedModelStore MappedModelStore::open(const std::string& path, Verify verify) 
       if (node_count > static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) {
         fail_at(path, file_off(at), "tree node count exceeds the index range");
       }
-      const std::uint64_t body = node_count * (kPackedNodeBytes + 16);
+      const std::uint64_t body = node_count * (sizeof(TreeNode) + 16);
       if (section_end - at - kTreeHeaderBytes < body) {
         fail_at(path, file_off(at),
                 "tree section (" + std::to_string(node_count) +
                     " nodes) extends past its forest section");
       }
-      MappedForest::TreeRef ref;
+      TreeRef ref;
       ref.node_count = node_count;
       ref.nodes = payload + at + kTreeHeaderBytes;
-      ref.count0 = ref.nodes + node_count * kPackedNodeBytes;
+      ref.count0 = ref.nodes + node_count * sizeof(TreeNode);
       ref.count1 = ref.count0 + node_count * 8;
       trees.push_back(ref);
       at += kTreeHeaderBytes + body;
@@ -383,25 +383,16 @@ MappedModelStore MappedModelStore::open(const std::string& path, Verify verify) 
     }
 
     if (verify == Verify::kFull) {
-      // Structural node validation: everything the traversal dereferences
-      // is proven in range up front, so even a crafted file with valid
-      // checksums cannot push predict() out of bounds or into a cycle
-      // (children must point strictly forward).
-      for (const MappedForest::TreeRef& ref : trees) {
-        for (std::uint64_t i = 0; i < ref.node_count; ++i) {
-          const PackedNode node = decode_packed_node(ref.nodes + i * kPackedNodeBytes);
-          const std::uint64_t node_off = file_off(
-              static_cast<std::uint64_t>(ref.nodes - payload) + i * kPackedNodeBytes);
-          if (node.is_leaf()) continue;
-          if (node.left <= static_cast<std::int64_t>(i) || node.right <= static_cast<std::int64_t>(i) ||
-              static_cast<std::uint64_t>(node.left) >= ref.node_count ||
-              static_cast<std::uint64_t>(node.right) >= ref.node_count) {
-            fail_at(path, node_off, "tree node children out of range");
-          }
-          if (node.feature >= info.num_features) {
-            fail_at(path, node_off, "tree node feature index out of range");
-          }
-        }
+      // Everything the walk dereferences is proven in range up front, so
+      // even a crafted file with valid checksums cannot push predict()
+      // out of bounds or into a cycle.
+      if (const auto defect = find_forest_defect(trees, info.num_features)) {
+        // The index check above refused zero trees, so the defect names a node.
+        const TreeRef& tree = trees[defect->tree];
+        fail_at(path,
+                file_off(static_cast<std::uint64_t>(tree.nodes - payload) +
+                         defect->node * sizeof(TreeNode)),
+                defect->what);
       }
     }
 
@@ -431,20 +422,13 @@ GroupModelStore MappedModelStore::materialize() const {
     std::vector<DecisionTree> trees;
     trees.reserve(view.num_trees());
     for (std::size_t t = 0; t < view.num_trees(); ++t) {
-      const MappedForest::TreeRef& ref = view.tree(t);
-      std::vector<DecisionTree::NodeRecord> records(ref.node_count);
-      for (std::size_t i = 0; i < ref.node_count; ++i) {
-        const PackedNode node = decode_packed_node(ref.nodes + i * kPackedNodeBytes);
-        records[i].left = node.left;
-        records[i].right = node.right;
-        records[i].feature = node.feature;
-        records[i].threshold = node.threshold;
-        records[i].count0 = read_u64(ref.count0 + i * 8);
-        records[i].count1 = read_u64(ref.count1 + i * 8);
-      }
-      trees.push_back(DecisionTree::from_records(records));
+      trees.push_back(DecisionTree::from_image(view.tree(t)));
     }
-    models.emplace(keys_[g], RandomForest::assemble(std::move(trees), view.num_features()));
+    try {
+      models.emplace(keys_[g], RandomForest::assemble(std::move(trees), view.num_features()));
+    } catch (const ParseError& e) {
+      throw ParseError::in_file(path_, e);
+    }
   }
   return GroupModelStore::assemble(std::move(models), matrix_);
 }

@@ -15,9 +15,9 @@ namespace caml::store {
 /// whose payload is a fixed-layout, offset-indexed binary image of a
 /// GroupModelStore. The layout is designed for zero-parse mmap serving:
 /// a 64-byte header, a sorted group-key index table, then per-group
-/// forest sections whose node arrays are the packed 16-byte hot-node
-/// layout the in-memory traversal kernel uses — MappedModelStore walks
-/// trees directly over the mapping.
+/// forest sections that are the trees' in-memory images byte for byte
+/// (16-byte TreeNode records plus leaf-count arrays) — MappedModelStore
+/// walks trees directly over the mapping.
 ///
 /// Payload layout (all integers native little-endian, offsets relative
 /// to the payload start; every field is read through memcpy so the
@@ -50,7 +50,7 @@ namespace caml::store {
 ///   Forest section: num_trees tree sections back to back, each
 ///     0  node_count u64
 ///     8  reserved u64    0
-///    16  nodes   node_count * 16 bytes (packed hot nodes, ml/forest_view.hpp)
+///    16  nodes   node_count * 16 bytes (TreeNode records, ml/tree.hpp)
 ///        count0  node_count * u64 (leaf votes, class 0)
 ///        count1  node_count * u64
 ///
@@ -82,10 +82,10 @@ bool is_binary_store_file(const std::string& path);
 class MappedModelStore final : public ModelStore {
  public:
   /// kFull (default, used by serve and the CLI) additionally checks the
-  /// container CRC, the data-section CRC and every node's structural
-  /// invariants (children forward-pointing and in range, feature index
-  /// within the group's feature count) — a corrupt or adversarial file
-  /// fails with a ParseError naming the file and byte offset, never UB.
+  /// container CRC, the data-section CRC and every forest through
+  /// find_forest_defect (ml/forest.hpp), the validator the text loader
+  /// runs too — a corrupt or adversarial file fails with a ParseError
+  /// naming the file and byte offset, never UB.
   /// kMapOnly skips the O(payload) work and trusts the index CRC plus
   /// section-bounds walk; it exists so bench_store_load can demonstrate
   /// the size-independent open cost.
@@ -126,9 +126,10 @@ class MappedModelStore final : public ModelStore {
   const std::string& path() const { return path_; }
 
   /// Copies the mapped forests back into an owning GroupModelStore (the
-  /// `caml store --to-text` conversion path). Trees are rebuilt through
-  /// DecisionTree::from_records, so the result round-trips through the
-  /// text format byte-identically.
+  /// `caml store --to-text` conversion path). Tree images are copied
+  /// verbatim and validated by RandomForest::assemble (so a kMapOnly
+  /// store is checked here), and the result round-trips through the text
+  /// format byte-identically. Throws caml::ParseError naming the file.
   GroupModelStore materialize() const;
 
  private:
@@ -144,7 +145,7 @@ class MappedModelStore final : public ModelStore {
 
 /// Opens `path` as whichever store format it holds: the mmap-backed
 /// binary store when the container kind is "models.bin" (verified kFull),
-/// otherwise the text loader (framed or legacy unframed). This is the
+/// otherwise the framed text loader. This is the
 /// single entry point `caml serve` / `caml predict` load through, so a
 /// daemon prefers the binary store automatically.
 std::shared_ptr<const ModelStore> open_model_store(const std::string& path);

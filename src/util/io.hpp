@@ -126,8 +126,7 @@ inline constexpr std::string_view kContainerMagic = "CAMLF1";
 /// Frames `payload` (header + payload bytes) without touching disk.
 std::string frame_checksummed(std::string_view kind, std::string_view payload);
 
-/// True when `bytes` starts with the container magic — used by loaders
-/// that also accept legacy unframed files.
+/// True when `bytes` starts with the container magic.
 bool is_checksummed(std::string_view bytes);
 
 /// Validates the container (magic, kind, declared length, CRC) and
@@ -193,8 +192,11 @@ class ChecksummedFileWriter {
 std::string read_checksummed_file(const std::string& path, std::string_view kind);
 
 /// Reads a file that is either a validated CAMLF1 container of `kind` or
-/// a legacy unframed artifact (returned verbatim, unvalidated) — the
-/// backward-compatible load path for stores written before framing.
+/// an unframed artifact (returned verbatim, unvalidated). Only `.camodel`
+/// files load through here: `caml predict` and `caml query` write raw
+/// `.camodel` text that `caml train` and `caml patterns` read back.
+/// Model stores and forest files are always framed and load through
+/// read_checksummed_file.
 std::string read_checksummed_or_raw(const std::string& path, std::string_view kind);
 
 }  // namespace caml::io

@@ -163,11 +163,18 @@ TEST(DurableArtifacts, ModelStoreFileRoundTripAndCorruptionRejected) {
   const GroupModelStore loaded = GroupModelStore::load_file(path);
   EXPECT_EQ(loaded.num_groups(), store.num_groups());
 
-  // Legacy (unframed) stores still load through the sniffing reader.
-  std::ostringstream legacy;
-  store.save(legacy);
-  io::write_file_atomic(dir + "/legacy.caml", legacy.str());
-  EXPECT_EQ(GroupModelStore::load_file(dir + "/legacy.caml").num_groups(), store.num_groups());
+  // An unframed store is rejected like a corrupt one: only .camodel
+  // files may be unframed.
+  std::ostringstream text;
+  store.save(text);
+  const std::string unframed = dir + "/unframed.caml";
+  io::write_file_atomic(unframed, text.str());
+  try {
+    GroupModelStore::load_file(unframed);
+    FAIL() << "expected ParseError for an unframed store";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(unframed), std::string::npos) << e.what();
+  }
 
   // A flipped payload byte fails loud with the file named in the error.
   flip_tail_byte(path);
@@ -178,8 +185,7 @@ TEST(DurableArtifacts, ModelStoreFileRoundTripAndCorruptionRejected) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }
   // Truncation (the classic partial-copy failure) is rejected too.
-  const std::string bytes = slurp(dir + "/legacy.caml");
-  io::write_checksummed_file(path, "models", bytes);
+  io::write_checksummed_file(path, "models", text.str());
   std::string framed = slurp(path);
   framed.resize(framed.size() / 2);
   io::write_file_atomic(path, framed);

@@ -1,10 +1,10 @@
 // Binary model-store tests: text <-> binary round-trip identity,
 // byte-identical predictions across text-loaded / materialized /
 // mmap-backed stores (serial and parallel), adversarial inputs
-// (truncation, flipped bytes, out-of-bounds sections, crafted nodes —
-// every case a ParseError naming the file, never UB; run the suite
-// under -DCAML_SANITIZE for the memory-safety proof), and serve
-// end-to-end on a mapped store.
+// (truncation, flipped bytes, out-of-bounds sections, crafted nodes in
+// binary and text stores — every case a ParseError naming the file,
+// never UB; run the suite under -DCAML_SANITIZE for the memory-safety
+// proof), and serve end-to-end on a mapped store.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -208,7 +208,7 @@ TEST(BinaryStore, HexfloatProbaAndMarginParityAcrossJobCounts) {
     // single 64-row batch byte for byte.
     std::vector<std::size_t> indices(n);
     for (std::size_t i = 0; i < n; ++i) indices[i] = i;
-    const auto sharded = [&](const Classifier& c, std::size_t jobs,
+    const auto sharded = [&](const TreeEnsemble& c, std::size_t jobs,
                              auto member) -> std::string {
       const std::vector<std::vector<double>> per_row =
           parallel_map(indices, jobs, [&](const std::size_t& r) {
@@ -218,12 +218,10 @@ TEST(BinaryStore, HexfloatProbaAndMarginParityAcrossJobCounts) {
       for (const std::vector<double>& v : per_row) flat.push_back(v.at(0));
       return hexfloat_probas(flat);
     };
-    const auto proba_one = [](const Classifier& c, const std::int8_t* row) {
-      return dynamic_cast<const RandomForest*>(&c) != nullptr
-                 ? static_cast<const RandomForest&>(c).predict_proba_batch(row, 1, 0)
-                 : static_cast<const MappedForest&>(c).predict_proba_batch(row, 1, 0);
+    const auto proba_one = [](const TreeEnsemble& c, const std::int8_t* row) {
+      return c.predict_proba_batch(row, 1, 0);
     };
-    const auto margin_one = [](const Classifier& c, const std::int8_t* row) {
+    const auto margin_one = [](const TreeEnsemble& c, const std::int8_t* row) {
       return c.predict_margin_batch(row, 1, 0);
     };
 
@@ -240,6 +238,32 @@ TEST(BinaryStore, HexfloatProbaAndMarginParityAcrossJobCounts) {
       EXPECT_EQ(sharded(*view, jobs, proba_one), probas) << "jobs=" << jobs;
       EXPECT_EQ(sharded(*trained, jobs, margin_one), margins) << "jobs=" << jobs;
       EXPECT_EQ(sharded(*view, jobs, margin_one), margins) << "jobs=" << jobs;
+    }
+
+    // Every other entry point on both backends: single-row proba and
+    // label, one-row label batches against the full batch, and each
+    // tree's leaf votes in memory against the same tree in the mapping.
+    const std::vector<std::uint8_t> labels = trained->predict_batch(rows.data(), n, features);
+    EXPECT_EQ(view->predict_batch(rows.data(), n, features), labels);
+    ASSERT_EQ(view->num_trees(), trained->trees().size());
+    for (const TreeEnsemble* backend : {static_cast<const TreeEnsemble*>(trained),
+                                        static_cast<const TreeEnsemble*>(view)}) {
+      std::vector<double> single;
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::int8_t* row = rows.data() + r * features;
+        single.push_back(backend->predict_proba(row));
+        EXPECT_EQ(backend->predict(row), labels[r]) << backend->name() << " row " << r;
+        EXPECT_EQ(backend->predict_batch(row, 1, 0), std::vector<std::uint8_t>{labels[r]})
+            << backend->name() << " row " << r;
+      }
+      EXPECT_EQ(hexfloat_probas(single), probas) << backend->name();
+    }
+    for (std::size_t t = 0; t < view->num_trees(); ++t) {
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::int8_t* row = rows.data() + r * features;
+        EXPECT_EQ(view->tree(t).leaf_votes(row), trained->trees()[t].leaf_votes(row))
+            << "tree " << t << " row " << r;
+      }
     }
   }
 }
@@ -470,6 +494,75 @@ TEST_F(CraftedStore, RejectsMalformedNodes) {
     const std::uint32_t swapped = 0x04030201;
     std::memcpy(p.data() + 8, &swapped, 4);
     expect_crafted_rejected(std::move(p), "endian_mismatch");
+  }
+}
+
+TEST(TextStore, RejectsMalformedNodes) {
+  // The text loader runs the binary reader's structural validator: a
+  // framed store with a valid CRC but a cyclic, out-of-range or
+  // feature-overflowing node, or a treeless forest, never loads. None of
+  // the cases walks a tree, so a regression fails instead of hanging.
+  std::ostringstream saved;
+  shared_store().save(saved);
+  std::vector<std::string> lines;
+  {
+    std::istringstream in(saved.str());
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  // Line 2 is the first FOREST header, line 3 the first TREE header and
+  // line 4 that tree's root.
+  ASSERT_EQ(lines.at(2).rfind("FOREST trees=", 0), 0u) << lines.at(2);
+  ASSERT_EQ(lines.at(3).rfind("TREE nodes=", 0), 0u) << lines.at(3);
+  const std::size_t node_count = std::stoul(lines[3].substr(11));
+  std::istringstream root_fields(lines[4]);
+  std::int64_t left = 0, right = 0, feature = 0, threshold = 0, count0 = 0, count1 = 0;
+  root_fields >> left >> right >> feature >> threshold >> count0 >> count1;
+  ASSERT_GE(left, 0) << "shared store's first tree is unexpectedly a stump";
+  const auto root = [&](std::int64_t l, std::int64_t r, std::int64_t f) {
+    return std::to_string(l) + ' ' + std::to_string(r) + ' ' + std::to_string(f) + ' ' +
+           std::to_string(threshold) + ' ' + std::to_string(count0) + ' ' +
+           std::to_string(count1);
+  };
+  std::size_t end_forest = 2;
+  while (lines.at(end_forest) != "ENDFOREST") ++end_forest;
+
+  const std::string dir = temp_dir("text_nodes");
+  const auto expect_text_rejected = [&](std::vector<std::string> edited, const char* what) {
+    std::string text;
+    for (const std::string& line : edited) text += line + '\n';
+    const std::string path = dir + "/" + what + ".caml";
+    io::write_checksummed_file(path, "models", text);
+    try {
+      GroupModelStore::load_file(path);
+      ADD_FAILURE() << what << ": malformed store was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << what << ": error must name the file: " << e.what();
+    }
+  };
+
+  {
+    std::vector<std::string> edited = lines;
+    edited[4] = root(left, 0, feature);
+    expect_text_rejected(std::move(edited), "child_cycle");
+  }
+  {
+    std::vector<std::string> edited = lines;
+    edited[4] = root(static_cast<std::int64_t>(node_count) + 5, right, feature);
+    expect_text_rejected(std::move(edited), "child_out_of_range");
+  }
+  {
+    std::vector<std::string> edited = lines;
+    edited[4] = root(left, right, 65535);
+    expect_text_rejected(std::move(edited), "feature_out_of_range");
+  }
+  {
+    std::vector<std::string> edited(lines.begin(), lines.begin() + 2);
+    const std::string features = lines[2].substr(lines[2].find(" features="));
+    edited.push_back("FOREST trees=0" + features);
+    edited.insert(edited.end(), lines.begin() + static_cast<std::ptrdiff_t>(end_forest),
+                  lines.end());
+    expect_text_rejected(std::move(edited), "no_trees");
   }
 }
 
