@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Vets the concurrent paths (ThreadPool, parallel characterization,
-# parallel forest training, the active-learning scoring/retraining
+# parallel forest training, the store's cross-group training schedule
+# and the dataset dedup index it reads, the active-learning scoring/retraining
 # loop, and the serve reactor + compute plane:
 # reactor thread, worker batches, wakeup pipe, stats, hot reload, the
 # sojourn-shed admission policy and store-fault recovery) under
@@ -13,5 +14,5 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DCAML_SANITIZE=thread -DCAML_FAULT_INJECTION=ON
 cmake --build "$BUILD_DIR" -j --target caml_tests
-"$BUILD_DIR"/tests/caml_tests --gtest_filter='ThreadPool*:Parallel*:ResolveJobs*:RandomForest*:Characterize*:Obs*:Serve*:NetFault*:BinaryStore*:Active*'
+"$BUILD_DIR"/tests/caml_tests --gtest_filter='ThreadPool*:Parallel*:ResolveJobs*:RandomForest*:Dataset*:ModelStore*:Characterize*:Obs*:Serve*:NetFault*:BinaryStore*:Active*'
 echo "TSan concurrency check passed"

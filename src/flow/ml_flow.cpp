@@ -13,6 +13,14 @@ std::unique_ptr<Classifier> MlOptions::new_classifier() const {
   return std::make_unique<RandomForest>(forest);
 }
 
+std::size_t training_matrix_rows(const std::vector<const CharacterizedCell*>& cells) {
+  std::size_t rows = 0;
+  for (const CharacterizedCell* cell : cells) {
+    rows += (cell->model.defects.size() + 1) * cell->model.stimuli.size();
+  }
+  return rows;
+}
+
 Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_cells,
                            const MlOptions& options) {
   CAML_TRACE_SPAN_ITEMS("matrix_build", train_cells.size());
@@ -21,6 +29,11 @@ Dataset build_training_set(const std::vector<const CharacterizedCell*>& train_ce
   const std::size_t features =
       matrix_feature_count(first.num_inputs(), first.num_transistors(), options.matrix);
   Dataset data(features);
+  // Reserve the row bound once: growing the row arrays by doubling
+  // leaves freed buffers of every size in the allocator, which is how
+  // repeated training on several threads grows the resident set.
+  // Reserved pages past the distinct rows are never touched.
+  data.reserve(training_matrix_rows(train_cells));
   Rng rng(options.seed);
   for (const CharacterizedCell* cell : train_cells) {
     CAML_ASSERT(cell->num_inputs() == first.num_inputs());

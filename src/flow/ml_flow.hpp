@@ -26,6 +26,10 @@ struct MlOptions {
   std::unique_ptr<Classifier> new_classifier() const;
 };
 
+/// Upper bound on the labeled CA-matrix rows of the cells: (defects + 1)
+/// × stimuli each, the + 1 being the defect-free rows.
+std::size_t training_matrix_rows(const std::vector<const CharacterizedCell*>& cells);
+
 /// Assembles the training dataset of a group from the labeled CA-matrix
 /// of each training cell (sampled per MlOptions). All cells must share
 /// the group's (inputs, transistors) shape.

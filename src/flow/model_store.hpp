@@ -59,7 +59,11 @@ class GroupModelStore final : public ModelStore {
  public:
   /// Trains one forest per group of the training corpus. Groups with a
   /// single cell still train (one cell of training data is exactly the
-  /// paper's "identical structure available" sweet spot).
+  /// paper's "identical structure available" sweet spot). Every group's
+  /// dataset build and tree fits share one pool of options.forest.jobs
+  /// workers (docs/PERFORMANCE.md, "Cross-group training schedule"); the
+  /// store is byte-identical for any job count, and equal to fitting
+  /// each group's build_training_set with RandomForest::fit.
   static GroupModelStore train(const std::vector<CharacterizedCell>& training,
                                const MlOptions& options);
 

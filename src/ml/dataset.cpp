@@ -1,6 +1,7 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -39,35 +40,109 @@ void Dataset::add_sampled(const Dataset& other, std::size_t max_rows, Rng& rng) 
   take(neg);
 }
 
+namespace {
+
+/// Hash of one row's bytes and its label: 8-byte words folded through a
+/// multiply-xorshift, then the splitmix64 finalizer.
+std::uint64_t row_hash(const std::int8_t* row, std::size_t n, std::uint8_t label) {
+  constexpr std::uint64_t kMul = 0xBF58476D1CE4E5B9ull;
+  std::uint64_t h = 0x9E3779B97F4A7C15ull * (std::uint64_t{label} + 1);
+  for (std::size_t i = 0; i < n; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, row + i, std::min<std::size_t>(8, n - i));
+    h = (h ^ word) * kMul;
+    h ^= h >> 29;
+  }
+  h ^= h >> 30;
+  h *= kMul;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBull;
+  return h ^ (h >> 31);
+}
+
+}  // namespace
+
+std::size_t Dataset::RowIndex::probe(const Dataset& data, const std::int8_t* row,
+                                     std::uint8_t label) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t s = row_hash(row, data.num_features_, label) & mask;; s = (s + 1) & mask) {
+    const std::uint32_t id = slots_[s];
+    if (id == kNone || (data.labels_[id] == label &&
+                        std::memcmp(data.row(id), row, data.num_features_) == 0)) {
+      return s;
+    }
+  }
+}
+
+std::uint32_t& Dataset::RowIndex::slot_for(const Dataset& data, const std::int8_t* row,
+                                           std::uint8_t label) {
+  CAML_ASSERT(indexed_ < kNone);
+  if ((size_ + 1) * 2 > slots_.size()) {
+    std::vector<std::uint32_t> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(16, old.size() * 2), kNone);
+    for (const std::uint32_t id : old) {
+      if (id != kNone) slots_[probe(data, data.row(id), data.label(id))] = id;
+    }
+  }
+  return slots_[probe(data, row, label)];
+}
+
+void Dataset::RowIndex::catch_up(const Dataset& data) {
+  for (; indexed_ < data.num_rows(); ++indexed_) {
+    std::uint32_t& slot = slot_for(data, data.row(indexed_), data.label(indexed_));
+    if (slot == kNone) {
+      slot = static_cast<std::uint32_t>(indexed_);
+      ++size_;
+    }
+  }
+}
+
+std::uint32_t Dataset::RowIndex::find(const Dataset& data, const std::int8_t* row,
+                                      std::uint8_t label) const {
+  return slots_.empty() ? kNone : slots_[probe(data, row, label)];
+}
+
+std::uint32_t Dataset::RowIndex::insert(const Dataset& data, const std::int8_t* row,
+                                        std::uint8_t label) {
+  std::uint32_t& slot = slot_for(data, row, label);
+  if (slot == kNone) {
+    slot = static_cast<std::uint32_t>(indexed_++);
+    ++size_;
+  }
+  return slot;
+}
+
 void Dataset::add_deduplicated(const Dataset& other) {
   CAML_ASSERT(other.num_features() == num_features_);
-  std::string key;
-  key.reserve(num_features_ + 1);
+  index_.catch_up(*this);
   for (std::size_t r = 0; r < other.num_rows(); ++r) {
-    key.assign(reinterpret_cast<const char*>(other.row(r)), num_features_);
-    key.push_back(static_cast<char>(other.label(r)));
-    const auto [it, inserted] = dedup_index_.try_emplace(key, num_rows());
-    if (inserted) {
+    const std::uint32_t id = index_.insert(*this, other.row(r), other.label(r));
+    if (id == num_rows()) {
       add_row(other.row(r), other.label(r), other.weight(r));
     } else {
-      weights_[it->second] += other.weight(r);
+      weights_[id] += other.weight(r);
     }
   }
 }
 
 Dataset Dataset::subtract_deduplicated(const Dataset& other) const {
   CAML_ASSERT(other.num_features() == num_features_);
+  // A const method must not grow the shared index, so rows added since
+  // the last add_deduplicated are indexed into a copy.
+  RowIndex caught_up;
+  const RowIndex* index = &index_;
+  if (index_.indexed() != num_rows()) {
+    caught_up = index_;
+    caught_up.catch_up(*this);
+    index = &caught_up;
+  }
   std::vector<std::uint32_t> remaining = weights_;
-  std::string key;
-  key.reserve(num_features_ + 1);
   for (std::size_t r = 0; r < other.num_rows(); ++r) {
-    key.assign(reinterpret_cast<const char*>(other.row(r)), num_features_);
-    key.push_back(static_cast<char>(other.label(r)));
-    const auto it = dedup_index_.find(key);
-    if (it == dedup_index_.end() || remaining[it->second] < other.weight(r)) {
+    const std::uint32_t id = index->find(*this, other.row(r), other.label(r));
+    if (id == RowIndex::kNone || remaining[id] < other.weight(r)) {
       throw Error("subtract_deduplicated: row not present with sufficient weight");
     }
-    remaining[it->second] -= other.weight(r);
+    remaining[id] -= other.weight(r);
   }
   Dataset out(num_features_);
   out.reserve(num_rows());

@@ -2,8 +2,7 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -43,18 +42,18 @@ class Dataset {
   void add_sampled(const Dataset& other, std::size_t max_rows, Rng& rng);
 
   /// Appends every row of `other`, merging rows whose (features, label)
-  /// already exist in this dataset by adding their weights. `this` must
-  /// have been built exclusively through add_deduplicated (it maintains
-  /// the lookup index).
+  /// already exist in this dataset by adding their weights. Rows added
+  /// by any other means are indexed on first use; when such rows already
+  /// repeat, the first occurrence is the one that merges.
   void add_deduplicated(const Dataset& other);
 
   /// Returns a copy of this dataset with `other`'s row weights
-  /// subtracted (matched by (features, label)); rows whose weight drops
-  /// to zero are omitted. `this` must have been built through
-  /// add_deduplicated, and every row of `other` must be present with at
-  /// least its weight (throws caml::Error otherwise). This is the
-  /// leave-one-out fast path: master-minus-one instead of rebuilding
-  /// the training set per held-out cell.
+  /// subtracted (matched by (features, label), against the first
+  /// occurrence as in add_deduplicated); rows whose weight drops to zero
+  /// are omitted. Every row of `other` must be present with at least its
+  /// weight (throws caml::Error otherwise). This is the leave-one-out
+  /// fast path: master-minus-one instead of rebuilding the training set
+  /// per held-out cell.
   Dataset subtract_deduplicated(const Dataset& other) const;
 
   const std::int8_t* row(std::size_t r) const { return features_.data() + r * num_features_; }
@@ -76,12 +75,42 @@ class Dataset {
   std::pair<std::int8_t, std::int8_t> feature_range() const;
 
  private:
+  /// The dedup index: an open-addressing table (linear probing,
+  /// power-of-two capacity, at most half full) of row ids, hashed and
+  /// compared through the rows' own bytes and label — 8 to 16 bytes per
+  /// distinct row and no copy of any row. Ids stay valid across copies
+  /// and moves of the dataset.
+  class RowIndex {
+   public:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    /// Offers rows [indexed(), num_rows()) of `data`; a row equal to an
+    /// indexed one is skipped, so the earlier one stays its match.
+    void catch_up(const Dataset& data);
+    /// Id of the indexed row equal to (row, label), or kNone.
+    std::uint32_t find(const Dataset& data, const std::int8_t* row, std::uint8_t label) const;
+    /// Id of the indexed row equal to (row, label); when there is none,
+    /// indexes (row, label) as row id indexed(), which the caller must
+    /// append next, and returns that id.
+    std::uint32_t insert(const Dataset& data, const std::int8_t* row, std::uint8_t label);
+    std::size_t indexed() const { return indexed_; }
+
+   private:
+    /// Slot holding (row, label), or the empty slot where it belongs.
+    std::size_t probe(const Dataset& data, const std::int8_t* row, std::uint8_t label) const;
+    /// probe() after making room for one more entry.
+    std::uint32_t& slot_for(const Dataset& data, const std::int8_t* row, std::uint8_t label);
+
+    std::vector<std::uint32_t> slots_;  ///< row id per slot, kNone = empty
+    std::size_t size_ = 0;              ///< occupied slots
+    std::size_t indexed_ = 0;           ///< rows [0, indexed_) were offered
+  };
+
   std::size_t num_features_;
   std::vector<std::int8_t> features_;
   std::vector<std::uint8_t> labels_;
   std::vector<std::uint32_t> weights_;
-  /// Lazily maintained by add_deduplicated: (row bytes + label) -> index.
-  std::unordered_map<std::string, std::size_t> dedup_index_;
+  RowIndex index_;
 };
 
 /// Column-major (feature-major) transpose of a Dataset's feature block.

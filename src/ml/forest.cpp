@@ -36,10 +36,10 @@ struct ForestMetrics {
 
 }  // namespace
 
-void RandomForest::grow(const Dataset& data, std::size_t count, std::uint64_t seed) {
-  CAML_TRACE_SPAN_ITEMS("forest_fit", count);
+RandomForest::Growth RandomForest::plan(const Dataset& data, std::size_t first,
+                                        std::size_t count, std::uint64_t seed) const {
   CAML_ASSERT(data.num_rows() > 0);
-  num_features_ = data.num_features();
+  CAML_ASSERT(first == 0 || data.num_features() == num_features_);
   Rng rng(seed);
 
   TreeParams tp = params_.tree;
@@ -56,12 +56,15 @@ void RandomForest::grow(const Dataset& data, std::size_t count, std::uint64_t se
   // All per-tree randomness (bootstrap / subset indices, then the tree's
   // split-sampling seed) is drawn serially from the single Rng stream in
   // the exact order the serial loop used, so the fitted forest is
-  // bit-identical for any thread count.
-  const std::size_t first = trees_.size();
-  std::vector<std::vector<std::uint32_t>> draws(count);
-  trees_.reserve(first + count);
+  // bit-identical for any thread count and any schedule. The one
+  // column-major transpose is shared by every tree: the histogram fill
+  // of the split search walks contiguous feature columns instead of
+  // strided rows, and re-transposing per tree would waste the win.
+  Growth growth(data, first);
+  growth.draws_.resize(count);
+  growth.trees_.reserve(count);
   for (std::size_t t = 0; t < count; ++t) {
-    std::vector<std::uint32_t>& indices = draws[t];
+    std::vector<std::uint32_t>& indices = growth.draws_[t];
     if (params_.bootstrap) {
       indices.resize(sample);
       for (std::uint32_t& i : indices) {
@@ -78,37 +81,52 @@ void RandomForest::grow(const Dataset& data, std::size_t count, std::uint64_t se
         indices[i] = static_cast<std::uint32_t>(i);
       }
     }
-    trees_.emplace_back(tp, rng.next());
+    growth.trees_.emplace_back(tp, rng.next());
   }
-  // One column-major transpose shared by every tree: the histogram fill
-  // of the split search walks contiguous feature columns instead of
-  // strided rows, and re-transposing per tree would waste the win.
-  const ColumnView columns(data);
+  return growth;
+}
+
+void RandomForest::Growth::fit_tree(std::size_t t) {
+  const Stopwatch watch;
+  trees_[t].fit_indices(*data_, columns_, std::move(draws_[t]));
+  ForestMetrics::get().tree_fit_us.record(
+      static_cast<std::uint64_t>(std::max<std::int64_t>(watch.elapsed_us(), 0)));
+}
+
+void RandomForest::assemble_growth(Growth growth) {
+  CAML_ASSERT(growth.first_ <= trees_.size());
+  trees_.erase(trees_.begin() + static_cast<std::ptrdiff_t>(growth.first_), trees_.end());
+  trees_.insert(trees_.end(), std::make_move_iterator(growth.trees_.begin()),
+                std::make_move_iterator(growth.trees_.end()));
+  num_features_ = growth.data_->num_features();
+}
+
+RandomForest::Growth RandomForest::plan_fit(const Dataset& data) const {
+  return plan(data, 0, params_.num_trees, params_.seed);
+}
+
+void RandomForest::grow(Growth growth) {
   // Trees only read the shared dataset/columns and mutate their own
   // state, so the fits are independent.
-  parallel_for(count, params_.jobs, [&](std::size_t t) {
-    const Stopwatch watch;
-    trees_[first + t].fit_indices(data, columns, std::move(draws[t]));
-    ForestMetrics::get().tree_fit_us.record(
-        static_cast<std::uint64_t>(std::max<std::int64_t>(watch.elapsed_us(), 0)));
-  });
+  parallel_for(growth.num_trees(), params_.jobs, [&](std::size_t t) { growth.fit_tree(t); });
+  assemble_growth(std::move(growth));
 }
 
 void RandomForest::fit(const Dataset& data) {
-  trees_.clear();
-  grow(data, params_.num_trees, params_.seed);
+  CAML_TRACE_SPAN_ITEMS("forest_fit", params_.num_trees);
+  grow(plan_fit(data));
 }
 
 void RandomForest::fit_more(const Dataset& data, std::size_t extra_trees) {
   if (extra_trees == 0) return;
-  CAML_ASSERT(trees_.empty() || data.num_features() == num_features_);
+  CAML_TRACE_SPAN_ITEMS("forest_fit", extra_trees);
   // The increment seed folds the current ensemble size into the base
   // seed (splitmix64-style odd multiplier), so each growth step draws a
   // fresh stream yet any two runs growing through the same sizes draw
   // identical trees.
   const std::uint64_t seed =
       params_.seed ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(trees_.size() + 1));
-  grow(data, extra_trees, seed);
+  grow(plan(data, trees_.size(), extra_trees, seed));
 }
 
 RandomForest RandomForest::assemble(std::vector<DecisionTree> trees,

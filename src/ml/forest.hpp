@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "ml/dataset.hpp"
 #include "ml/tree.hpp"
 
 namespace caml {
@@ -21,10 +22,11 @@ struct ForestParams {
   bool bootstrap = false;
   /// max_features of 0 means sqrt(num_features), resolved at fit time.
   std::uint64_t seed = 0xF0535Dull;
-  /// Worker threads for fit (0 = one per hardware thread, 1 = serial).
-  /// The fitted forest is bit-identical for any value: all per-tree
-  /// randomness is drawn serially from the single seed stream before the
-  /// trees are fitted concurrently.
+  /// Worker threads for fit, and for GroupModelStore::train's pool
+  /// (0 = one per hardware thread, 1 = serial). The fitted forest is
+  /// bit-identical for any value: all per-tree randomness is drawn
+  /// serially from the single seed stream before the trees are fitted
+  /// concurrently.
   std::size_t jobs = 0;
 };
 
@@ -116,6 +118,38 @@ class RandomForest : public TreeEnsemble {
   /// through the same sizes draw the same trees.
   void fit_more(const Dataset& data, std::size_t extra_trees);
 
+  /// One growth step of the forest, split so a scheduler can interleave
+  /// the tree fits of many forests on one pool: plan_fit (serial: every
+  /// index draw and tree seed, plus the shared ColumnView), fit_tree for
+  /// each tree (any order, any threads, each index once), then
+  /// assemble_growth. fit() and fit_more() are exactly these steps
+  /// around a parallel_for, so a forest grown either way is
+  /// bit-identical.
+  class Growth {
+   public:
+    std::size_t num_trees() const { return trees_.size(); }
+    /// Fits tree t. Reads only the dataset and the columns and writes
+    /// only tree t, so distinct trees may be fitted concurrently. The
+    /// dataset passed to the plan must outlive this call.
+    void fit_tree(std::size_t t);
+
+   private:
+    friend class RandomForest;
+    Growth(const Dataset& data, std::size_t first) : data_(&data), columns_(data), first_(first) {}
+
+    const Dataset* data_;
+    ColumnView columns_;
+    std::size_t first_;  ///< trees of the forest that the growth keeps
+    std::vector<std::vector<std::uint32_t>> draws_;
+    std::vector<DecisionTree> trees_;
+  };
+
+  /// The serial first step of fit(data).
+  Growth plan_fit(const Dataset& data) const;
+  /// The last step: the forest becomes the trees it kept when `growth`
+  /// was planned (none for plan_fit) followed by the fitted trees.
+  void assemble_growth(Growth growth);
+
   std::string name() const override { return "RandomForest"; }
 
   const std::vector<DecisionTree>& trees() const { return trees_; }
@@ -137,7 +171,13 @@ class RandomForest : public TreeEnsemble {
              double* out) const override;
 
  private:
-  void grow(const Dataset& data, std::size_t count, std::uint64_t seed);
+  /// Plans `count` trees from `seed` that follow the forest's first
+  /// `first` trees.
+  Growth plan(const Dataset& data, std::size_t first, std::size_t count,
+              std::uint64_t seed) const;
+  /// Fits every tree of a plan on up to params_.jobs threads, then
+  /// assembles it.
+  void grow(Growth growth);
   /// Built per call, so no view outlives a copy or move of the forest.
   std::vector<TreeRef> tree_refs() const;
 

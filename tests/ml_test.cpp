@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ml/dataset.hpp"
 #include "ml/forest.hpp"
@@ -459,6 +463,105 @@ TEST(Dataset, SubtractDeduplicatedRejectsUnknownRows) {
   const std::int8_t b[] = {2};
   stranger.add_row(b, 0);
   EXPECT_THROW(master.subtract_deduplicated(stranger), Error);
+}
+
+TEST(Dataset, DedupAfterAddRowMergesExistingRows) {
+  Dataset data(3);
+  const std::int8_t a[] = {1, 2, 3};
+  const std::int8_t b[] = {4, 5, 6};
+  data.add_row(a, 1);
+  data.add_row(b, 0);
+  Dataset copy(3);
+  copy.add_row(a, 1);
+
+  data.add_deduplicated(copy);
+  ASSERT_EQ(data.num_rows(), 2u);
+  EXPECT_EQ(data.weight(0), 2u);
+  EXPECT_EQ(data.weight(1), 1u);
+
+  const Dataset back = data.subtract_deduplicated(copy);
+  ASSERT_EQ(back.num_rows(), 2u);
+  EXPECT_EQ(back.weight(0), 1u);
+  EXPECT_EQ(back.weight(1), 1u);
+  // subtract_deduplicated's result is built by add_row, and still
+  // subtracts and deduplicates.
+  const Dataset rest = back.subtract_deduplicated(copy);
+  ASSERT_EQ(rest.num_rows(), 1u);
+  EXPECT_EQ(rest.row_span(0)[0], 4);
+}
+
+/// The dedup contract spelled out with a std::map: distinct (row, label)
+/// keys in order of first appearance, with summed weights.
+struct DedupReference {
+  std::map<std::string, std::size_t> position;
+  std::vector<std::pair<std::string, std::uint64_t>> rows;
+
+  void add(const Dataset& data) {
+    for (std::size_t r = 0; r < data.num_rows(); ++r) {
+      std::string key(reinterpret_cast<const char*>(data.row(r)), data.num_features());
+      key += static_cast<char>(data.label(r));
+      const auto [it, inserted] = position.try_emplace(key, rows.size());
+      if (inserted) rows.emplace_back(key, 0);
+      rows[it->second].second += data.weight(r);
+    }
+  }
+
+  void expect_matches(const Dataset& data, const char* what) const {
+    ASSERT_EQ(data.num_rows(), rows.size()) << what;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      std::string key(reinterpret_cast<const char*>(data.row(r)), data.num_features());
+      key += static_cast<char>(data.label(r));
+      ASSERT_EQ(key, rows[r].first) << what << " row " << r;
+      ASSERT_EQ(data.weight(r), rows[r].second) << what << " row " << r;
+    }
+  }
+};
+
+TEST(Dataset, DedupIndexMatchesNaiveReferenceThroughGrowthCopyAndMove) {
+  // 11 binary features (one 8-byte word plus a 3-byte tail) and both
+  // labels: 4096 possible keys, so ~12000 rows repeat a lot, conflict
+  // on labels, and grow the table many times over.
+  Rng rng(2024);
+  const auto batch = [&](std::size_t rows) {
+    Dataset data(11);
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::int8_t row[11];
+      for (auto& v : row) v = static_cast<std::int8_t>(rng.below(2));
+      data.add_row(row, static_cast<std::uint8_t>(rng.below(2)),
+                   static_cast<std::uint32_t>(1 + rng.below(3)));
+    }
+    return data;
+  };
+  Dataset data(11);
+  DedupReference reference;
+  for (int i = 0; i < 6; ++i) {
+    const Dataset part = batch(2000);
+    data.add_deduplicated(part);
+    reference.add(part);
+    reference.expect_matches(data, "original");
+  }
+  EXPECT_GT(reference.rows.size(), 3000u);
+
+  // Row-id slots stay valid in a copy and after a move; neither run
+  // disturbs the other.
+  Dataset copied = data;
+  DedupReference copied_reference = reference;
+  Dataset moved = std::move(data);
+  for (int i = 0; i < 3; ++i) {
+    const Dataset part = batch(2000);
+    copied.add_deduplicated(part);
+    copied_reference.add(part);
+    copied_reference.expect_matches(copied, "copy");
+    moved.add_deduplicated(part);
+    reference.add(part);
+    reference.expect_matches(moved, "moved-to");
+  }
+  Dataset assigned(11);
+  assigned = copied;
+  const Dataset part = batch(500);
+  assigned.add_deduplicated(part);
+  copied_reference.add(part);
+  copied_reference.expect_matches(assigned, "copy-assigned");
 }
 
 }  // namespace

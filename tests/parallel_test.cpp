@@ -8,6 +8,9 @@
 
 #include "camodel/model_io.hpp"
 #include "flow/characterize.hpp"
+#include "flow/grouping.hpp"
+#include "flow/ml_flow.hpp"
+#include "flow/model_store.hpp"
 #include "ml/dataset.hpp"
 #include "ml/forest_io.hpp"
 #include "test_support.hpp"
@@ -175,6 +178,88 @@ TEST(ParallelDeterminism, ForestFitMatchesSerialForAnyJobs) {
           << "bootstrap=" << bootstrap << " cap=" << cap;
       EXPECT_EQ(predictions[0], predictions[1]);
     }
+  }
+}
+
+/// Store text trained the way GroupModelStore::train used to: one group
+/// at a time, build_training_set then RandomForest::fit.
+std::string group_by_group_store(const std::vector<CharacterizedCell>& training,
+                                 const MlOptions& options) {
+  std::map<GroupKey, RandomForest> models;
+  for (const auto& [key, members] : group_cells(training)) {
+    std::vector<const CharacterizedCell*> cells;
+    for (std::size_t m : members) cells.push_back(&training[m]);
+    RandomForest forest(options.forest);
+    forest.fit(build_training_set(cells, options));
+    models.emplace(key, std::move(forest));
+  }
+  std::ostringstream os;
+  GroupModelStore::assemble(std::move(models), options.matrix).save(os);
+  return os.str();
+}
+
+TEST(ParallelDeterminism, GroupStoreTrainMatchesSerialForAnyJobs) {
+  CharacterizeOptions copt;
+  copt.jobs = 4;
+  const std::vector<CharacterizedCell> training =
+      characterize_library(make_parallel_library(), copt);
+  MlOptions options;
+  options.forest.num_trees = 5;
+  options.forest.max_samples_per_tree = 120;
+  // Groups (1 in, 2 T), (2 in, 4 T) and (3 in, 6 T); the largest is
+  // capped by max_samples_per_tree, so its trees draw index subsets.
+  const GroupMap groups = group_cells(training);
+  ASSERT_EQ(groups.size(), 3u);
+  {
+    std::vector<const CharacterizedCell*> largest;
+    for (std::size_t m : groups.rbegin()->second) largest.push_back(&training[m]);
+    ASSERT_GT(build_training_set(largest, options).num_rows(),
+              options.forest.max_samples_per_tree);
+  }
+
+  for (const bool bootstrap : {false, true}) {
+    options.forest.bootstrap = bootstrap;
+    options.forest.jobs = 1;
+    const std::string expected = group_by_group_store(training, options);
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      options.forest.jobs = jobs;
+      std::ostringstream captured;
+      std::streambuf* old = std::clog.rdbuf(captured.rdbuf());
+      const LogLevel old_level = Log::level();
+      Log::set_level(LogLevel::kInfo);
+      const GroupModelStore store = GroupModelStore::train(training, options);
+      Log::set_level(old_level);
+      std::clog.rdbuf(old);
+      std::ostringstream os;
+      store.save(os);
+      EXPECT_EQ(os.str(), expected) << "bootstrap=" << bootstrap << " jobs=" << jobs;
+
+      // One line per group, in key order, whatever order they finished in.
+      const std::string log = captured.str();
+      std::size_t at = 0;
+      for (const char* group : {"trained group (1 in, 2 T) on 1 cells",
+                                "trained group (2 in, 4 T) on 2 cells",
+                                "trained group (3 in, 6 T) on 3 cells"}) {
+        const std::size_t found = log.find(group, at);
+        ASSERT_NE(found, std::string::npos) << group << " after offset " << at << ":\n" << log;
+        at = found + 1;
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminism, GroupStoreTrainRethrowsAfterEveryWorkerStops) {
+  std::vector<CharacterizedCell> training = characterize_library(make_parallel_library(), {});
+  // A cell without stimuli yields no training rows, which the forest
+  // plan rejects: the (2 in, 4 T) group fails at open.
+  for (CharacterizedCell& cell : training) {
+    if (cell.num_inputs() == 2) cell.model.stimuli.clear();
+  }
+  MlOptions options;
+  options.forest.num_trees = 3;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    options.forest.jobs = jobs;
+    EXPECT_THROW(GroupModelStore::train(training, options), Error) << "jobs=" << jobs;
   }
 }
 
