@@ -326,8 +326,8 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
 
     // Score every unacquired target. Scoring only reads shared state;
     // parallel_map keeps input order, each cell's rows classify in one
-    // batch with tree-order accumulation — confidences are identical
-    // for any jobs value.
+    // grid sweep with tree-order accumulation — confidences are
+    // identical for any jobs value.
     std::vector<std::size_t> candidates;
     for (std::size_t i = 0; i < targets.size(); ++i) {
       if (!acquired[i]) candidates.push_back(i);
@@ -346,10 +346,9 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
             if (matrix.num_rows() == 0) {
               confidence = 1.0;  // nothing to predict; never worth a simulation
             } else {
-              const std::vector<double> proba = fit->second.predict_proba_batch(
-                  matrix.features().data(), matrix.num_rows(), matrix.num_features());
-              const std::vector<double> margin = fit->second.predict_margin_batch(
-                  matrix.features().data(), matrix.num_rows(), matrix.num_features());
+              const RowGrid grid = row_grid(matrix);
+              const std::vector<double> proba = fit->second.predict_proba_grid(grid);
+              const std::vector<double> margin = fit->second.predict_margin_grid(grid);
               confidence = blended_confidence(proba, margin);
             }
           }
@@ -441,8 +440,7 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
         const std::vector<std::uint8_t> labels =
             matrix.num_rows() == 0
                 ? std::vector<std::uint8_t>{}
-                : fit->second.predict_batch(matrix.features().data(), matrix.num_rows(),
-                                            matrix.num_features());
+                : fit->second.predict_grid(row_grid(matrix));
         const CaModel predicted = finish_prediction(std::move(prep), labels.data());
         prepared[i].reset();  // consumed
         outcome.ml_seconds = std::chrono::duration<double>(Clock::now() - t0).count();

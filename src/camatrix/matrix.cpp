@@ -24,7 +24,7 @@ class MatrixBuilder {
  public:
   MatrixBuilder(const Cell& cell, const CanonicalCell& canon, const MatrixOptions& options)
       : cell_(cell), canon_(canon), options_(options) {
-    matrix_.column_names_ = column_names();
+    name_columns();
   }
 
   CaMatrix build(const std::vector<Stimulus>& stimuli, const GoldenResult& golden,
@@ -68,7 +68,10 @@ class MatrixBuilder {
               activity_code(golden.activity[s][ti], cell_.transistor(id).type);
         }
       }
+      CAML_ASSERT(row.size() == matrix_.stimulus_columns_);
     }
+
+    matrix_.num_stimuli_ = stimuli.size();
 
     const auto emit_rows = [&](std::int32_t defect_index,
                                const std::vector<std::int8_t>& defect_cols, std::int8_t kind,
@@ -110,8 +113,10 @@ class MatrixBuilder {
   }
 
  private:
-  std::vector<std::string> column_names() const {
-    std::vector<std::string> names;
+  /// Column names in layout order; the stimulus columns end where the
+  /// defect-location columns begin.
+  void name_columns() {
+    std::vector<std::string>& names = matrix_.column_names_;
     for (std::size_t i = 0; i < cell_.num_inputs(); ++i) {
       names.push_back("IN" + std::to_string(i));
     }
@@ -130,11 +135,11 @@ class MatrixBuilder {
     if (options_.include_activity) {
       for (const std::string& n : canon_names) names.push_back(n);
     }
+    matrix_.stimulus_columns_ = names.size();
     for (const std::string& n : canon_names) {
       for (const char* term : {"_D", "_G", "_S", "_B"}) names.push_back(n + term);
     }
     if (options_.include_defect_kind) names.push_back("KIND");
-    return names;
   }
 
   const Cell& cell_;

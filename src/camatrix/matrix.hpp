@@ -63,6 +63,15 @@ class CaMatrix {
   /// Stimulus index per row.
   const std::vector<std::uint32_t>& row_stimulus() const { return row_stimulus_; }
 
+  /// Stimuli per defect block. Rows come in blocks of num_stimuli() —
+  /// the free block first when present, then one block per defect — and
+  /// row b * num_stimuli() + s pairs block b with stimulus s.
+  std::size_t num_stimuli() const { return num_stimuli_; }
+  /// Columns [0, stimulus_columns()) of a row depend on its stimulus
+  /// alone (inputs, Z, truth table, activity); the remaining columns
+  /// (defect location, KIND) on its block alone.
+  std::size_t stimulus_columns() const { return stimulus_columns_; }
+
  private:
   friend class MatrixBuilder;
   std::vector<std::string> column_names_;
@@ -70,6 +79,8 @@ class CaMatrix {
   std::vector<std::uint8_t> labels_;
   std::vector<std::int32_t> row_defect_;
   std::vector<std::uint32_t> row_stimulus_;
+  std::size_t num_stimuli_ = 0;
+  std::size_t stimulus_columns_ = 0;
   bool has_labels_ = false;
 };
 

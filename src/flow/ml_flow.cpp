@@ -91,6 +91,13 @@ PreparedPrediction prepare_prediction(const Cell& cell, const CanonicalCell& can
   return prepared;
 }
 
+RowGrid row_grid(const CaMatrix& matrix) {
+  const std::size_t stimuli = matrix.num_stimuli();
+  CAML_ASSERT(stimuli == 0 ? matrix.num_rows() == 0 : matrix.num_rows() % stimuli == 0);
+  return RowGrid{matrix.features().data(), matrix.num_features(), stimuli,
+                 matrix.stimulus_columns(), stimuli == 0 ? 0 : matrix.num_rows() / stimuli};
+}
+
 CaModel finish_prediction(PreparedPrediction prepared, const std::uint8_t* labels) {
   const CaMatrix& matrix = prepared.matrix;
   CaModel predicted = std::move(prepared.model);
@@ -108,8 +115,8 @@ namespace {
 
 /// Shared inference core: classify every (stimulus, defect) row of the
 /// unlabeled CA-matrix and assemble the predicted CaModel. The same
-/// prepare → predict_batch → finish sequence the serve plane runs with
-/// coalesced batches, so both paths stay byte-identical by construction.
+/// prepare → predict_grid → finish sequence the serve plane runs, so
+/// both paths stay byte-identical by construction.
 CaModel predict_from_defects(const Classifier& classifier, const Cell& cell,
                              const CanonicalCell& canonical, StimulusPolicy policy,
                              const SimConfig& sim, const MatrixOptions& matrix_options,
@@ -118,16 +125,13 @@ CaModel predict_from_defects(const Classifier& classifier, const Cell& cell,
   span.attr("cell", cell.name());
   PreparedPrediction prepared =
       prepare_prediction(cell, canonical, policy, sim, matrix_options, std::move(defects));
-  // One batched classification for the whole request: the matrix's
-  // feature block is contiguous row-major, so the classifier sweeps it
-  // in a single call (tree-major for RandomForest) instead of one
-  // virtual dispatch per (stimulus, defect) row.
+  // One classification for the whole cell: the classifier sweeps the
+  // matrix as a stimulus × defect grid (for a forest: one descent per
+  // tree and defect) instead of one virtual dispatch per row.
   const CaMatrix& matrix = prepared.matrix;
   const std::vector<std::uint8_t> labels =
-      matrix.num_rows() == 0
-          ? std::vector<std::uint8_t>{}
-          : classifier.predict_batch(matrix.features().data(), matrix.num_rows(),
-                                     matrix.num_features());
+      matrix.num_rows() == 0 ? std::vector<std::uint8_t>{}
+                             : classifier.predict_grid(row_grid(matrix));
   return finish_prediction(std::move(prepared), labels.data());
 }
 

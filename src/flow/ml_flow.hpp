@@ -51,15 +51,18 @@ CaModel predict_ca_model(const Classifier& classifier, const CharacterizedCell& 
 /// The classifier-independent half of a prediction: the unlabeled
 /// CA-matrix plus the CaModel skeleton (stimuli, golden responses,
 /// defect list, zeroed detection bits). Splitting prediction into
-/// prepare → classify → finish lets callers hand the feature rows of
-/// *several* prepared cells of one group to a single
-/// Classifier::predict_batch call (the serve plane's cross-connection
-/// batch coalescing) — per-row classification is independent, so any
-/// grouping of rows into batches yields identical labels.
+/// prepare → classify → finish lets the serve plane prepare many
+/// requests, classify each prepared matrix as one grid sweep, and
+/// finish them in order.
 struct PreparedPrediction {
   CaMatrix matrix;  ///< unlabeled features + (stimulus, defect) row map
   CaModel model;    ///< everything except the detection bits
 };
+
+/// The matrix's rows as a stimulus × defect grid: one block per defect
+/// (and the free block first when present), prefix = its stimulus
+/// columns. Classifying the grid labels the rows in matrix row order.
+RowGrid row_grid(const CaMatrix& matrix);
 
 /// Builds the unlabeled matrix and model skeleton of one cell. The
 /// feature rows to classify are prepared.matrix.features() (row-major,

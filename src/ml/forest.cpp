@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,8 +26,9 @@ struct ForestMetrics {
     static ForestMetrics m{
         obs::Registry::global().histogram("caml_forest_tree_fit_us",
                                           "Per-tree fit latency in microseconds"),
-        obs::Registry::global().histogram("caml_forest_batch_rows",
-                                          "Rows per predict_proba_batch call"),
+        obs::Registry::global().histogram(
+            "caml_forest_batch_rows",
+            "Rows per probability or label sweep (one cell's grid in the flows)"),
         obs::Registry::global().counter("caml_forest_rows_predicted_total",
                                         "Rows classified across all batch predictions"),
     };
@@ -149,9 +151,9 @@ std::vector<TreeRef> RandomForest::tree_refs() const {
   return refs;
 }
 
-void RandomForest::sweep(Vote vote, const std::int8_t* rows, std::size_t n,
-                         std::size_t stride, double* out) const {
-  sweep_trees(tree_refs(), vote, rows, n, stride, out);
+void RandomForest::sweep(Vote vote, const RowGrid& grid, double* out,
+                         GridScratch& scratch) const {
+  sweep_trees(tree_refs(), vote, grid, out, scratch);
 }
 
 std::optional<ForestDefect> find_forest_defect(const std::vector<TreeRef>& trees,
@@ -180,16 +182,79 @@ std::optional<ForestDefect> find_forest_defect(const std::vector<TreeRef>& trees
 
 namespace {
 
+/// Adds one tree's `vote(c0, c1)` to every row of a multi-block grid
+/// (see TreeEnsemble). Per block d the stimulus set descends from the
+/// root together; each non-leaf stop is a stimulus-column node, where
+/// the set splits by the value each stimulus carries in row (0, s). A
+/// set of one stimulus finishes on its own full row. Sets are ranges of
+/// scratch.ids, which every block starts in stimulus order: sorted sets
+/// read rows and write `out` in address order. `grid` is taken by value:
+/// a local copy cannot alias the scratch stores, so its fields stay in
+/// registers (by reference, the walk measured slower).
+template <typename VoteFn>
+void sweep_grid_tree(const TreeRef& tree, const RowGrid grid, double* out,
+                     TreeEnsemble::GridScratch& scratch, VoteFn vote) {
+  using Pending = TreeEnsemble::GridScratch::Pending;
+  std::uint32_t* ids = scratch.ids.data();
+  std::uint32_t* spill = scratch.spill.data();
+  Pending* pending = scratch.pending.data();
+  for (std::size_t d = 0; d < grid.blocks; ++d) {
+    const std::int8_t* block_row = grid.row(d, 0);
+    double* out_d = out + d * grid.stimuli;
+    std::iota(ids, ids + grid.stimuli, 0u);
+    std::size_t top = 0;
+    // Follows the block's columns from node `at` on behalf of the set
+    // [begin, end): a leaf votes for the whole set, a stimulus-column
+    // node waits.
+    const auto advance = [&](std::size_t at, std::size_t begin, std::size_t end) {
+      at = tree.descend(at, block_row, grid.prefix);
+      if (!tree.is_leaf(at)) {
+        pending[top++] = Pending{at, begin, end};
+        return;
+      }
+      const auto [c0, c1] = tree.votes(at);
+      const double v = vote(c0, c1);
+      for (std::size_t i = begin; i < end; ++i) out_d[ids[i]] += v;
+    };
+    advance(0, 0, grid.stimuli);
+    while (top > 0) {
+      const Pending set = pending[--top];
+      if (set.end - set.begin == 1) {
+        const std::size_t s = ids[set.begin];
+        const auto [c0, c1] = tree.votes(tree.descend(set.node, grid.row(d, s), 0));
+        out_d[s] += vote(c0, c1);
+        continue;
+      }
+      const TreeNode node = tree.node(set.node);
+      // Stable partition: stimuli going left stay in place, the others
+      // wait in `spill` and follow them.
+      std::size_t mid = set.begin, spilled = 0;
+      for (std::size_t i = set.begin; i < set.end; ++i) {
+        const std::uint32_t s = ids[i];
+        if (grid.row(0, s)[node.feature] <= node.threshold) ids[mid++] = s;
+        else spill[spilled++] = s;
+      }
+      std::copy(spill, spill + spilled, ids + mid);
+      if (mid < set.end) advance(static_cast<std::size_t>(node.right), mid, set.end);
+      if (mid > set.begin) advance(static_cast<std::size_t>(node.left), set.begin, mid);
+    }
+  }
+}
+
 /// Tree-major accumulation of `vote(c0, c1)` over every (tree, row);
 /// rows accumulate in tree order.
 template <typename VoteFn>
-void accumulate_votes(const std::vector<TreeRef>& trees, const std::int8_t* rows,
-                      std::size_t n, std::size_t stride, double* out, VoteFn vote) {
-  std::fill(out, out + n, 0.0);
+void accumulate_votes(const std::vector<TreeRef>& trees, const RowGrid& grid, double* out,
+                      TreeEnsemble::GridScratch& scratch, VoteFn vote) {
+  std::fill(out, out + grid.rows(), 0.0);
   for (const TreeRef& tree : trees) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto [c0, c1] = tree.leaf_votes(rows + r * stride);
-      out[r] += vote(c0, c1);
+    if (grid.blocks == 1) {
+      for (std::size_t r = 0; r < grid.stimuli; ++r) {
+        const auto [c0, c1] = tree.leaf_votes(grid.row(r));
+        out[r] += vote(c0, c1);
+      }
+    } else if (grid.blocks > 1) {
+      sweep_grid_tree(tree, grid, out, scratch, vote);
     }
   }
 }
@@ -197,14 +262,15 @@ void accumulate_votes(const std::vector<TreeRef>& trees, const std::int8_t* rows
 }  // namespace
 
 void TreeEnsemble::sweep_trees(const std::vector<TreeRef>& trees, Vote vote,
-                               const std::int8_t* rows, std::size_t n, std::size_t stride,
-                               double* out) {
+                               const RowGrid& grid, double* out, GridScratch& scratch) {
   CAML_ASSERT(!trees.empty());
+  CAML_ASSERT(grid.blocks <= 1 || scratch.ids.size() >= grid.stimuli);
+  const std::size_t n = grid.rows();
   const double count = static_cast<double>(trees.size());
   if (vote == Vote::kSoft) {
     // A leaf with no recorded votes (possible in loaded forests) casts a
     // neutral 0.5 instead of poisoning the average with 0/0 = NaN.
-    accumulate_votes(trees, rows, n, stride, out, [](std::uint64_t c0, std::uint64_t c1) {
+    accumulate_votes(trees, grid, out, scratch, [](std::uint64_t c0, std::uint64_t c1) {
       const std::uint64_t votes = c0 + c1;
       return votes == 0 ? 0.5 : static_cast<double>(c1) / static_cast<double>(votes);
     });
@@ -212,7 +278,7 @@ void TreeEnsemble::sweep_trees(const std::vector<TreeRef>& trees, Vote vote,
   } else {
     // Each tree votes for its majority leaf class; a tie or an empty
     // leaf is half a vote each way.
-    accumulate_votes(trees, rows, n, stride, out, [](std::uint64_t c0, std::uint64_t c1) {
+    accumulate_votes(trees, grid, out, scratch, [](std::uint64_t c0, std::uint64_t c1) {
       return c1 > c0 ? 1.0 : (c1 == c0 ? 0.5 : 0.0);
     });
     for (std::size_t r = 0; r < n; ++r) out[r] = std::abs(2.0 * out[r] / count - 1.0);
@@ -221,7 +287,8 @@ void TreeEnsemble::sweep_trees(const std::vector<TreeRef>& trees, Vote vote,
 
 double TreeEnsemble::predict_proba(const std::int8_t* row) const {
   double proba = 0.0;
-  sweep(Vote::kSoft, row, 1, 0, &proba);
+  GridScratch none;
+  sweep(Vote::kSoft, RowGrid::flat(row, 1, 0), &proba, none);
   return proba;
 }
 
@@ -229,29 +296,29 @@ std::uint8_t TreeEnsemble::predict(const std::int8_t* row) const {
   return predict_proba(row) >= 0.5 ? 1 : 0;
 }
 
-std::vector<double> TreeEnsemble::predict_proba_batch(const std::int8_t* rows, std::size_t n,
-                                                      std::size_t stride) const {
+std::vector<double> TreeEnsemble::predict_proba_grid(const RowGrid& grid) const {
+  const std::size_t n = grid.rows();
   CAML_TRACE_SPAN_ITEMS("predict", n);
   ForestMetrics& metrics = ForestMetrics::get();
   metrics.batch_rows.record(n);
   metrics.rows_predicted.add(n);
   std::vector<double> proba(n);
-  sweep(Vote::kSoft, rows, n, stride, proba.data());
+  GridScratch scratch(grid);
+  sweep(Vote::kSoft, grid, proba.data(), scratch);
   return proba;
 }
 
-std::vector<std::uint8_t> TreeEnsemble::predict_batch(const std::int8_t* rows, std::size_t n,
-                                                      std::size_t stride) const {
-  const std::vector<double> proba = predict_proba_batch(rows, n, stride);
-  std::vector<std::uint8_t> out(n);
-  for (std::size_t r = 0; r < n; ++r) out[r] = proba[r] >= 0.5 ? 1 : 0;
+std::vector<std::uint8_t> TreeEnsemble::predict_grid(const RowGrid& grid) const {
+  const std::vector<double> proba = predict_proba_grid(grid);
+  std::vector<std::uint8_t> out(proba.size());
+  for (std::size_t r = 0; r < proba.size(); ++r) out[r] = proba[r] >= 0.5 ? 1 : 0;
   return out;
 }
 
-std::vector<double> TreeEnsemble::predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                                       std::size_t stride) const {
-  std::vector<double> margin(n);
-  sweep(Vote::kHard, rows, n, stride, margin.data());
+std::vector<double> TreeEnsemble::predict_margin_grid(const RowGrid& grid) const {
+  std::vector<double> margin(grid.rows());
+  GridScratch scratch(grid);
+  sweep(Vote::kHard, grid, margin.data(), scratch);
   return margin;
 }
 

@@ -53,11 +53,16 @@ std::optional<ForestDefect> find_forest_defect(const std::vector<TreeRef>& trees
 /// MappedForest (ml/forest_view.hpp). Subclasses only say where their
 /// trees live and what guards reading them.
 ///
-/// Every entry point is a tree-major sweep: the outer loop visits each
-/// tree once and walks all rows through it while its nodes are hot in
-/// cache, and per row the votes accumulate in tree order. A row's value
-/// is therefore the same double whatever the batch size, job count or
-/// backend.
+/// Every entry point is one tree-major sweep over a RowGrid: the outer
+/// loop visits each tree once while its nodes are hot in cache. A
+/// one-block grid (flat rows) walks each row down the tree. A
+/// multi-block grid walks, per block, the whole stimulus set down
+/// together: a block-column node sends the set one way with a single
+/// compare, a prefix-column node partitions it by each stimulus's own
+/// value, and a leaf adds its vote to every row of its set. Either way
+/// each row receives exactly one vote per tree, in tree order, so a
+/// row's value is the same double whatever the grid shape, batch size,
+/// job count or backend.
 class TreeEnsemble : public Classifier {
  public:
   std::uint8_t predict(const std::int8_t* row) const override;
@@ -66,37 +71,58 @@ class TreeEnsemble : public Classifier {
   /// vote fraction (an empty leaf counts 0.5).
   double predict_proba(const std::int8_t* row) const;
 
-  /// Batched inference over `n` contiguous rows (`stride` features
-  /// apart) — the call the serving path batches a whole request's
-  /// CA-matrix into. Bit-identical to predict() per row.
-  std::vector<std::uint8_t> predict_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const override;
+  /// Labels: probability >= 0.5. Bit-identical to predict() per row.
+  std::vector<std::uint8_t> predict_grid(const RowGrid& grid) const override;
 
-  /// Batched predict_proba.
+  /// predict_proba per grid row — the call the serving path sweeps a
+  /// whole request's CA-matrix through.
+  std::vector<double> predict_proba_grid(const RowGrid& grid) const;
+
+  /// predict_proba_grid over `n` contiguous rows (`stride` features
+  /// apart).
   std::vector<double> predict_proba_batch(const std::int8_t* rows, std::size_t n,
-                                          std::size_t stride) const;
+                                          std::size_t stride) const {
+    return predict_proba_grid(RowGrid::flat(rows, n, stride));
+  }
 
   /// Hard-vote disagreement margin per row: each tree casts one vote for
   /// its majority leaf class (ties split 0.5/0.5), and the margin is
   /// |2 * vote1 / trees - 1| — 0 when the ensemble is evenly split,
   /// 1 when unanimous.
-  std::vector<double> predict_margin_batch(const std::int8_t* rows, std::size_t n,
-                                           std::size_t stride) const override;
+  std::vector<double> predict_margin_grid(const RowGrid& grid) const override;
+
+  /// Partition state of a multi-block sweep, allocated by the caller so
+  /// the sweep itself never allocates. Pending sets are disjoint, so each
+  /// buffer needs at most one entry per stimulus. A one-block grid walks
+  /// row by row and uses none; it still gets one entry, so a call
+  /// allocates the same for every grid shape.
+  struct GridScratch {
+    struct Pending {
+      std::size_t node, begin, end;
+    };
+    GridScratch() = default;
+    explicit GridScratch(const RowGrid& grid)
+        : ids(size(grid)), spill(size(grid)), pending(size(grid)) {}
+    static std::size_t size(const RowGrid& grid) { return grid.blocks > 1 ? grid.stimuli : 1; }
+    std::vector<std::uint32_t> ids;    ///< stimulus ids, partitioned in place
+    std::vector<std::uint32_t> spill;  ///< right-hand side of one partition
+    std::vector<Pending> pending;      ///< sets still to walk
+  };
 
  protected:
   enum class Vote { kSoft, kHard };
 
-  /// Writes one value per row to `out`: the soft-vote probability
+  /// Writes one value per grid row to `out`: the soft-vote probability
   /// (kSoft) or the hard-vote margin (kHard). Overrides pass their tree
   /// images to sweep_trees.
-  virtual void sweep(Vote vote, const std::int8_t* rows, std::size_t n, std::size_t stride,
-                     double* out) const = 0;
+  virtual void sweep(Vote vote, const RowGrid& grid, double* out,
+                     GridScratch& scratch) const = 0;
 
   /// The sweep itself. Allocation-free, so it may run inside
-  /// io::with_sigbus_guard.
-  static void sweep_trees(const std::vector<TreeRef>& trees, Vote vote,
-                          const std::int8_t* rows, std::size_t n, std::size_t stride,
-                          double* out);
+  /// io::with_sigbus_guard; `scratch` must be sized for `grid` (or empty
+  /// for a one-block grid).
+  static void sweep_trees(const std::vector<TreeRef>& trees, Vote vote, const RowGrid& grid,
+                          double* out, GridScratch& scratch);
 };
 
 /// Random Forest: bagged CART trees with per-split feature subsampling
@@ -167,8 +193,8 @@ class RandomForest : public TreeEnsemble {
   std::vector<double> feature_importance() const;
 
  protected:
-  void sweep(Vote vote, const std::int8_t* rows, std::size_t n, std::size_t stride,
-             double* out) const override;
+  void sweep(Vote vote, const RowGrid& grid, double* out,
+             GridScratch& scratch) const override;
 
  private:
   /// Plans `count` trees from `seed` that follow the forest's first

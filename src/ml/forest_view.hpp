@@ -32,8 +32,8 @@ class MappedForest final : public TreeEnsemble {
   /// Runs the sweep under a SIGBUS guard: if the backing file is
   /// truncated under the mapping, the fault becomes an io::MappingFault
   /// throw instead of killing the daemon.
-  void sweep(Vote vote, const std::int8_t* rows, std::size_t n, std::size_t stride,
-             double* out) const override;
+  void sweep(Vote vote, const RowGrid& grid, double* out,
+             GridScratch& scratch) const override;
 
  private:
   std::vector<TreeRef> trees_;

@@ -8,11 +8,10 @@
 
 namespace caml {
 
-std::vector<std::uint8_t> Classifier::predict_batch(const std::int8_t* rows, std::size_t n,
-                                                    std::size_t stride) const {
+std::vector<std::uint8_t> Classifier::predict_grid(const RowGrid& grid) const {
   std::vector<std::uint8_t> out;
-  out.reserve(n);
-  for (std::size_t r = 0; r < n; ++r) out.push_back(predict(rows + r * stride));
+  out.reserve(grid.rows());
+  for (std::size_t r = 0; r < grid.rows(); ++r) out.push_back(predict(grid.row(r)));
   return out;
 }
 
@@ -23,9 +22,8 @@ std::vector<std::uint8_t> Classifier::predict_all(const Dataset& data) const {
   return out;
 }
 
-std::vector<double> Classifier::predict_margin_batch(const std::int8_t*, std::size_t n,
-                                                     std::size_t) const {
-  return std::vector<double>(n, 1.0);
+std::vector<double> Classifier::predict_margin_grid(const RowGrid& grid) const {
+  return std::vector<double>(grid.rows(), 1.0);
 }
 
 void DecisionTree::fit(const Dataset& data) {
@@ -61,6 +59,12 @@ void DecisionTree::fit_indices(const Dataset& data, const ColumnView& columns,
   hist1_.assign(buckets, 0u);
   touched_.reserve(buckets);
   build(data, columns, indices, 0, indices.size(), 0);
+  // Growth by push_back leaves up to half of each node array unused, and
+  // a fitted tree is never grown again: keep only its nodes, since
+  // forests live as long as the store (and every report) holding them.
+  nodes_.shrink_to_fit();
+  count0_.shrink_to_fit();
+  count1_.shrink_to_fit();
   double total = 0.0;
   for (double v : importance_) total += v;
   if (total > 0.0) {

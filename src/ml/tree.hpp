@@ -53,29 +53,46 @@ struct TreeRef {
     return n;
   }
 
-  /// Weighted votes of the leaf the row lands in: {count0, count1}.
-  /// Reads `left` alone first and the other fields only on internal
-  /// nodes: copying whole nodes made the in-memory walk ~12% slower.
-  std::pair<std::uint64_t, std::uint64_t> leaf_votes(const std::int8_t* row) const {
-    std::size_t at = 0;
+  bool is_leaf(std::size_t at) const {
+    std::int32_t left = 0;
+    std::memcpy(&left, nodes + at * sizeof(TreeNode) + offsetof(TreeNode, left), 4);
+    return left < 0;
+  }
+
+  /// Walks `row` down from node `at` and returns the first node it
+  /// cannot decide: a leaf, or an internal node that splits on a feature
+  /// below `first` (the row holds valid values only from feature `first`
+  /// on). With first = 0 it always returns the leaf. Reads `left` alone
+  /// first and the other fields only on internal nodes: copying whole
+  /// nodes made the in-memory walk ~12% slower.
+  std::size_t descend(std::size_t at, const std::int8_t* row, std::size_t first) const {
     for (;;) {
       const unsigned char* p = nodes + at * sizeof(TreeNode);
       std::int32_t left = 0;
       std::memcpy(&left, p + offsetof(TreeNode, left), 4);
-      if (left < 0) {
-        std::uint64_t c0 = 0, c1 = 0;
-        std::memcpy(&c0, count0 + at * 8, 8);
-        std::memcpy(&c1, count1 + at * 8, 8);
-        return {c0, c1};
-      }
-      std::int32_t right = 0;
+      if (left < 0) return at;
       std::uint16_t feature = 0;
+      std::memcpy(&feature, p + offsetof(TreeNode, feature), 2);
+      if (feature < first) return at;
+      std::int32_t right = 0;
       std::int8_t threshold = 0;
       std::memcpy(&right, p + offsetof(TreeNode, right), 4);
-      std::memcpy(&feature, p + offsetof(TreeNode, feature), 2);
       std::memcpy(&threshold, p + offsetof(TreeNode, threshold), 1);
       at = static_cast<std::size_t>(row[feature] <= threshold ? left : right);
     }
+  }
+
+  /// Weighted votes of leaf `at`: {count0, count1}.
+  std::pair<std::uint64_t, std::uint64_t> votes(std::size_t at) const {
+    std::uint64_t c0 = 0, c1 = 0;
+    std::memcpy(&c0, count0 + at * 8, 8);
+    std::memcpy(&c1, count1 + at * 8, 8);
+    return {c0, c1};
+  }
+
+  /// Weighted votes of the leaf the row lands in.
+  std::pair<std::uint64_t, std::uint64_t> leaf_votes(const std::int8_t* row) const {
+    return votes(descend(0, row, 0));
   }
 };
 

@@ -92,41 +92,21 @@ std::vector<PredictOutcome> answer_predict_batch(const ModelStore& store,
     }
   }
 
-  // Phase 2 — coalesced classification: concatenate the feature rows of
-  // every prepared item that routed to the same group model and sweep
-  // them through one predict_batch call. Rows are classified
-  // independently, so splitting the labels back per item reproduces the
-  // per-request result bit for bit.
+  // Phase 2 — classification per group model: each prepared item's
+  // matrix is swept as its own stimulus × defect grid (one descent per
+  // tree and defect), the group's items back to back against the same
+  // model. Rows are classified independently, so the labels equal those
+  // of a per-request prediction bit for bit.
   std::map<const Classifier*, std::vector<std::size_t>> by_group;
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (items[i].prepared) by_group[items[i].classifier].push_back(i);
   }
   for (const auto& [classifier, member_items] : by_group) {
-    std::size_t total_rows = 0;
-    std::size_t stride = 0;
-    for (const std::size_t i : member_items) {
-      const CaMatrix& matrix = items[i].prepared->matrix;
-      if (stride == 0) stride = matrix.num_features();
-      CAML_ASSERT(matrix.num_features() == stride);  // one group = one feature layout
-      total_rows += matrix.num_rows();
-    }
-    std::vector<std::uint8_t> labels;
+    std::vector<std::vector<std::uint8_t>> labels(member_items.size());
     try {
-      if (total_rows > 0) {
-        if (member_items.size() == 1) {
-          // Single request for this group: classify its rows in place.
-          const CaMatrix& matrix = items[member_items.front()].prepared->matrix;
-          labels = classifier->predict_batch(matrix.features().data(), matrix.num_rows(),
-                                             stride);
-        } else {
-          std::vector<std::int8_t> rows;
-          rows.reserve(total_rows * stride);
-          for (const std::size_t i : member_items) {
-            const std::vector<std::int8_t>& f = items[i].prepared->matrix.features();
-            rows.insert(rows.end(), f.begin(), f.end());
-          }
-          labels = classifier->predict_batch(rows.data(), total_rows, stride);
-        }
+      for (std::size_t k = 0; k < member_items.size(); ++k) {
+        const CaMatrix& matrix = items[member_items[k]].prepared->matrix;
+        if (matrix.num_rows() > 0) labels[k] = classifier->predict_grid(row_grid(matrix));
       }
     } catch (const io::MappingFault& e) {
       // The mapped store faulted mid-traversal (file changed under the
@@ -143,14 +123,10 @@ std::vector<PredictOutcome> answer_predict_batch(const ModelStore& store,
       }
       continue;
     }
-    std::size_t offset = 0;
-    for (const std::size_t i : member_items) {
-      Item& item = items[i];
-      const std::size_t n = item.prepared->matrix.num_rows();
-      const std::uint8_t* item_labels = labels.data() + offset;
-      offset += n;  // advance even if finishing fails: later items keep their slice
+    for (std::size_t k = 0; k < member_items.size(); ++k) {
+      Item& item = items[member_items[k]];
       try {
-        const CaModel predicted = finish_prediction(std::move(*item.prepared), item_labels);
+        const CaModel predicted = finish_prediction(std::move(*item.prepared), labels[k].data());
         item.out.response.payload = ca_model_to_string(predicted, *item.cell);
         item.out.kind = PredictOutcome::Kind::kOk;
         item.out.rows_classified = predicted.defects.size() * predicted.stimuli.size();

@@ -43,11 +43,10 @@ struct PredictOutcome {
 
 /// Answers a coalesced batch of PREDICT requests against one store
 /// snapshot: every request's cell is parsed and prepared independently
-/// (matrix build + golden simulation), then the feature rows of all
-/// requests that map to the same group model are concatenated and
-/// classified in a single Classifier::predict_batch sweep — the
-/// cross-connection batching the per-request serve path could never
-/// exploit. Per-row classification is independent, so the responses are
+/// (matrix build + golden simulation), then the requests that map to
+/// the same group model are classified against it back to back, each
+/// matrix as one stimulus × defect grid sweep (Classifier::predict_grid).
+/// Per-row classification is independent, so the responses are
 /// byte-identical to answering each request alone (tested).
 ///
 /// Never throws: malformed payloads, unknown groups and internal

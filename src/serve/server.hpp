@@ -40,8 +40,8 @@ struct ServerOptions {
   std::size_t max_queue = 64;
   /// Requests coalesced into one compute batch: the reactor queues
   /// decoded PREDICT requests from all connections and a worker drains
-  /// up to max_batch of them at once into a single cross-connection
-  /// Classifier::predict_batch sweep per group model.
+  /// up to max_batch of them at once, sharing one store snapshot and
+  /// one group model lookup per group (serve/batch.hpp).
   std::size_t max_batch = 32;
   /// Decoded PREDICT requests allowed to wait for the compute plane.
   /// Beyond it, requests are answered kOverloaded (the connection stays
@@ -87,8 +87,8 @@ struct ServerOptions {
 ///     responses still go out in request order.
 ///   * `jobs` ThreadPool workers form the compute plane: each drains up
 ///     to max_batch decoded PREDICT requests — coalesced across all
-///     connections — and answers them with one Classifier::predict_batch
-///     sweep per group model (see serve/batch.hpp). Finished frames are
+///     connections — and answers them against one store snapshot, one
+///     grid sweep per request (see serve/batch.hpp). Finished frames are
 ///     handed back to the reactor over a wakeup pipe.
 ///
 /// The wire protocol is byte-compatible with the thread-per-connection

@@ -355,5 +355,53 @@ TEST(Matrix, ScrambleInvarianceUpToRowOrder) {
   }
 }
 
+// The invariant the forest's grid sweep trusts: every row is its
+// stimulus prefix followed by its defect block's columns, for every
+// column layout, with or without the free block.
+TEST(CaMatrix, RowsFactorIntoStimulusPrefixAndDefectColumns) {
+  const auto is_defect_column = [](const std::string& name) {
+    if (name == "KIND") return true;
+    const std::string tail = name.size() >= 2 ? name.substr(name.size() - 2) : name;
+    return tail == "_D" || tail == "_G" || tail == "_S" || tail == "_B";
+  };
+
+  for (const CharacterizedCell& cell : testing::grid_test_cells()) {
+    std::vector<Defect> defects;
+    for (const CaDefectEntry& e : cell.model.defects) defects.push_back(e.defect);
+    for (const auto& [layout, options] : testing::grid_test_layouts()) {
+      const auto unlabeled = [&](std::vector<Defect> subset) {
+        return build_unlabeled_matrix(cell.source.cell, subset, cell.model.policy,
+                                      cell.canonical, cell.sim, options);
+      };
+      const std::vector<CaMatrix> matrices = {
+          build_ca_matrix(cell.source.cell, cell.model, cell.canonical, cell.sim, options),
+          unlabeled(defects), unlabeled({defects.front()}), unlabeled({})};
+      for (const CaMatrix& m : matrices) {
+        const std::size_t stimuli = m.num_stimuli();
+        const std::size_t prefix = m.stimulus_columns();
+        EXPECT_EQ(stimuli, cell.model.stimuli.size());
+        EXPECT_EQ(prefix, static_cast<std::size_t>(std::count_if(
+                              m.column_names().begin(), m.column_names().end(),
+                              [&](const std::string& n) { return !is_defect_column(n); })));
+        ASSERT_EQ(m.num_rows() % stimuli, 0u);
+        const std::size_t blocks = m.num_rows() / stimuli;
+        for (std::size_t d = 0; d < blocks; ++d) {
+          for (std::size_t s = 0; s < stimuli; ++s) {
+            const std::size_t r = d * stimuli + s;
+            EXPECT_EQ(m.row_stimulus()[r], s);
+            EXPECT_EQ(m.row_defect()[r], m.row_defect()[d * stimuli]);
+            for (std::size_t c = 0; c < m.num_features(); ++c) {
+              const std::size_t source = c < prefix ? s : d * stimuli;
+              ASSERT_EQ(m.at(r, c), m.at(source, c))
+                  << cell.source.cell.name() << " / " << layout << " row (" << d << ", " << s
+                  << ") column " << m.column_names()[c];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace caml

@@ -787,25 +787,47 @@ TEST(ServeClient, BackoffDecorrelatesAcrossSeeds) {
 }
 
 TEST(ServeServer, DeadlineExpiredIsShedWithoutCompute) {
-  // A v2 request whose 1 ms deadline expires while queued behind a slow
-  // batch is answered DEADLINE_EXCEEDED and never reaches the compute
+  // A v2 request whose 1 ms deadline expires while queued behind slow
+  // batches is answered DEADLINE_EXCEEDED and never reaches the compute
   // plane — the shed counters prove no forest work was spent on it.
+  constexpr std::uint32_t kDeadlineMs = 1;
+  const std::string netlist = SpiceWriter().to_string(make_target_nand2());
+
+  // Size the blocking work from the fastest of several warm
+  // single-request computes, so the blockers' serial compute keeps the
+  // single worker busy for at least 20x the deadline however fast the
+  // build or the machine (a slower, contended run only queues longer).
   ServerOptions options;
+  const auto compute_us = [&] {
+    serve::PredictJob job;
+    job.netlist = netlist;
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<serve::PredictOutcome> out =
+        serve::answer_predict_batch(shared_store(), options.policy, {job});
+    EXPECT_EQ(out.at(0).kind, serve::PredictOutcome::Kind::kOk);
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  compute_us();  // warm-up
+  std::int64_t fastest_us = compute_us();
+  for (int i = 0; i < 4; ++i) fastest_us = std::min(fastest_us, compute_us());
+  const auto fastest = static_cast<std::uint64_t>(std::max<std::int64_t>(fastest_us, 1));
+  const std::uint64_t blockers = std::max<std::uint64_t>(4, 20 * kDeadlineMs * 1000 / fastest + 1);
+
   options.socket_path = temp_socket("deadline");
   options.jobs = 1;       // one worker: FIFO drain order is deterministic
-  options.max_batch = 1;  // blocker and deadline job in separate batches
+  options.max_batch = 1;  // blockers and deadline job in separate batches
+  options.max_pending_predicts = std::max(options.max_pending_predicts, blockers + 1);
   Server server(shared_store(), options);
   server.start();
 
-  const std::string netlist = SpiceWriter().to_string(make_target_nand2());
   const Fd conn = connect_unix(options.socket_path, 2000);
 
-  // Pipeline five frames on one connection: four v1 blockers (their
-  // serial compute keeps the single worker busy far past 1 ms) and a v2
-  // request carrying a 1 ms deadline. The reactor decodes in order, so
-  // the deadline job waits in the queue while every blocker computes.
-  constexpr std::uint64_t kBlockers = 4;
-  for (std::uint64_t id = 1; id <= kBlockers; ++id) {
+  // Pipeline the v1 blockers and then a v2 request carrying the 1 ms
+  // deadline on one connection. The reactor decodes in order, so the
+  // deadline job waits in the queue while every blocker computes.
+  for (std::uint64_t id = 1; id <= blockers; ++id) {
     Frame blocker;
     blocker.type = MsgType::kPredictCell;
     blocker.request_id = id;
@@ -815,11 +837,11 @@ TEST(ServeServer, DeadlineExpiredIsShedWithoutCompute) {
   Frame doomed;
   doomed.version = serve::kProtocolVersionDeadline;
   doomed.type = MsgType::kPredictCell;
-  doomed.request_id = kBlockers + 1;
-  doomed.payload = serve::encode_predict_payload(1, netlist);
+  doomed.request_id = blockers + 1;
+  doomed.payload = serve::encode_predict_payload(kDeadlineMs, netlist);
   serve::write_frame(conn.get(), doomed, 2000);
 
-  for (std::uint64_t id = 1; id <= kBlockers; ++id) {
+  for (std::uint64_t id = 1; id <= blockers; ++id) {
     const std::optional<Frame> response = serve::read_frame(conn.get(), 30000);
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->type, MsgType::kPredictOk);
@@ -827,14 +849,14 @@ TEST(ServeServer, DeadlineExpiredIsShedWithoutCompute) {
   }
   const std::optional<Frame> shed = serve::read_frame(conn.get(), 30000);
   ASSERT_TRUE(shed.has_value());
-  EXPECT_EQ(shed->request_id, kBlockers + 1);
+  EXPECT_EQ(shed->request_id, blockers + 1);
   ASSERT_EQ(shed->type, MsgType::kError);
   EXPECT_EQ(decode_error(shed->payload).code, ErrorCode::kDeadlineExceeded);
 
   const serve::StatsSnapshot stats = server.stats();
   EXPECT_EQ(stats.shed_expired, 1u);
-  EXPECT_EQ(stats.requests_ok, kBlockers);
-  EXPECT_EQ(stats.cells_predicted, kBlockers)
+  EXPECT_EQ(stats.requests_ok, blockers);
+  EXPECT_EQ(stats.cells_predicted, blockers)
       << "the shed request must not consume compute";
   server.stop();
 }

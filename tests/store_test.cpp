@@ -297,6 +297,72 @@ TEST(BinaryStore, PredictedModelsIdenticalAcrossBackendsAndJobCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Grid sweep
+
+TEST(TreeEnsemble, GridSweepMatchesFlatSweep) {
+  // A CA-matrix swept as a stimulus × defect grid must give every row
+  // the same probability, margin and label as the flat per-row sweep,
+  // to the last bit, on the owned and the mapped backend — for every
+  // column layout and for grids of many, one and zero defects.
+  for (const CharacterizedCell& cell : testing::grid_test_cells()) {
+    for (const auto& [layout, options] : testing::grid_test_layouts()) {
+      const std::string where = cell.source.cell.name() + " / " + layout;
+      const CaMatrix labeled = build_ca_matrix(cell.source.cell, cell.model, cell.canonical,
+                                               cell.sim, options);
+      Dataset data(labeled.num_features());
+      for (std::size_t r = 0; r < labeled.num_rows(); ++r) {
+        data.add_row(labeled.row(r), labeled.labels()[r]);
+      }
+      ForestParams params;
+      params.num_trees = 6;
+      params.jobs = 1;
+      RandomForest forest(params);
+      forest.fit(data);
+      std::vector<TreeRef> refs;
+      bool splits[2] = {false, false};  // on a stimulus column, on a defect column
+      for (const DecisionTree& tree : forest.trees()) {
+        refs.push_back(tree.ref());
+        for (std::size_t i = 0; i < tree.ref().node_count; ++i) {
+          const TreeNode node = tree.ref().node(i);
+          if (!node.is_leaf()) splits[node.feature >= labeled.stimulus_columns()] = true;
+        }
+      }
+      EXPECT_TRUE(splits[0] && splits[1]) << where << ": the grid must meet both kinds of split";
+      const MappedForest view(std::move(refs), forest.num_features());
+
+      std::vector<Defect> defects;
+      for (const CaDefectEntry& e : cell.model.defects) defects.push_back(e.defect);
+      const auto unlabeled = [&](std::vector<Defect> subset) {
+        return build_unlabeled_matrix(cell.source.cell, subset, cell.model.policy,
+                                      cell.canonical, cell.sim, options);
+      };
+      const std::vector<std::pair<const char*, CaMatrix>> matrices = {
+          {"labeled with free rows", labeled},
+          {"every defect", unlabeled(defects)},
+          {"one defect", unlabeled({defects.front()})},
+          {"no defect", unlabeled({})}};
+      for (const auto& [grid_case, matrix] : matrices) {
+        const RowGrid grid = row_grid(matrix);
+        ASSERT_EQ(grid.rows(), matrix.num_rows()) << where << " / " << grid_case;
+        const std::int8_t* rows = matrix.features().data();
+        const std::size_t n = matrix.num_rows(), stride = matrix.num_features();
+        for (const TreeEnsemble* backend : {static_cast<const TreeEnsemble*>(&forest),
+                                            static_cast<const TreeEnsemble*>(&view)}) {
+          const std::string what = where + " / " + grid_case + " / " + backend->name();
+          EXPECT_EQ(hexfloat_probas(backend->predict_proba_grid(grid)),
+                    hexfloat_probas(backend->predict_proba_batch(rows, n, stride)))
+              << what;
+          EXPECT_EQ(hexfloat_probas(backend->predict_margin_grid(grid)),
+                    hexfloat_probas(backend->predict_margin_batch(rows, n, stride)))
+              << what;
+          EXPECT_EQ(backend->predict_grid(grid), backend->predict_batch(rows, n, stride)) << what;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Adversarial inputs
 
 /// Expects MappedModelStore::open (both verify modes where applicable)

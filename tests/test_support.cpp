@@ -85,6 +85,30 @@ CharacterizedCell characterize(const LibraryCell& cell, const Technology& tech) 
   return characterize_cell(cell, tech, CharacterizeOptions{});
 }
 
+std::vector<CharacterizedCell> grid_test_cells() {
+  const Technology tech = technology_28soi();
+  std::vector<CharacterizedCell> cells;
+  for (const char* function : {"INV", "NAND2", "AOI21"}) {
+    cells.push_back(characterize(build_function(function, tech), tech));
+  }
+  cells.push_back(
+      characterize(build_function("NAND2", tech, {2, StructureVariant::kSplit}), tech));
+  return cells;
+}
+
+std::vector<std::pair<const char*, MatrixOptions>> grid_test_layouts() {
+  MatrixOptions with_kind;
+  with_kind.include_defect_kind = true;
+  MatrixOptions no_activity;
+  no_activity.include_activity = false;
+  MatrixOptions no_response;
+  no_response.include_response = false;
+  return {{"default", {}},
+          {"defect kind", with_kind},
+          {"no activity", no_activity},
+          {"no response", no_response}};
+}
+
 SmallCorpus make_small_corpus() {
   const Technology soi = technology_28soi();
   const Technology c28 = technology_c28();

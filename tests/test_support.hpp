@@ -1,7 +1,10 @@
 #pragma once
 
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "camatrix/matrix.hpp"
 #include "flow/characterize.hpp"
 #include "libgen/builder.hpp"
 #include "netlist/cell.hpp"
@@ -29,6 +32,12 @@ LibraryCell build_function(const std::string& function, const Technology& tech,
 
 /// Characterizes one built cell with the default options.
 CharacterizedCell characterize(const LibraryCell& cell, const Technology& tech);
+
+/// The cells and CA-matrix column layouts the grid-walk tests sweep:
+/// INV, NAND2, AOI21 and a split-drive NAND2 (28SOI); the default
+/// layout, with KIND, without activity and without the response column.
+std::vector<CharacterizedCell> grid_test_cells();
+std::vector<std::pair<const char*, MatrixOptions>> grid_test_layouts();
 
 /// A small two-technology corpus for flow tests: the same handful of
 /// functions built under 28SOI and C28 (plus a C28-only function).
