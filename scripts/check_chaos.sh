@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Chaos harness for the serve plane: builds an instrumented tree with
-# -DCAML_FAULT_INJECTION=ON and drives the daemon through seeded socket
-# fault storms, client crashes, process kills, SIGHUP storms, in-place
-# store truncation, and deadline sheds — asserting after every scenario
-# that
+# Chaos harness for the serve plane: builds the tree (the fault hooks
+# are compiled into every build and armed at runtime) and drives the
+# daemon through seeded socket fault storms, client crashes, process
+# kills, SIGHUP storms, in-place store truncation, and deadline sheds —
+# asserting after every scenario that
 #
 #   * the daemon never crashes (only explicit SIGKILL/SIGTERM ends it),
 #   * recovery is bounded (restart-to-ready and post-fault serving are
@@ -19,10 +19,10 @@
 # reproducible. Exits nonzero on any violation. Pass a different build
 # dir as $1.
 set -eu
-BUILD_DIR="${1:-build-fault}"
+BUILD_DIR="${1:-build}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
-cmake -B "$BUILD_DIR" -S "$ROOT" -DCAML_FAULT_INJECTION=ON >/dev/null
+cmake -B "$BUILD_DIR" -S "$ROOT" >/dev/null
 cmake --build "$BUILD_DIR" -j --target caml_cli characterize_library >/dev/null
 CAML="$BUILD_DIR/tools/caml"
 

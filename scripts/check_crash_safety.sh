@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Crash-safety harness: builds an instrumented tree with
-# -DCAML_FAULT_INJECTION=ON, runs the fault-gated unit tests, then
-# drives the CLI end to end:
+# Crash-safety harness: builds the tree (the fault hooks are compiled
+# into every build and armed at runtime), runs the fault-injection unit
+# tests, then drives the CLI end to end:
 #
+#   * malformed spec — a bogus CAML_FAULT must make `caml` exit nonzero
+#     naming CAML_FAULT, before it does any work;
 #   * kill sweep — SIGKILLs `caml characterize` at the Nth persistence
 #     operation for N = 1, 2, ... (via CAML_FAULT="*:kill:N"), resumes
 #     with --resume, and byte-compares the final model directory against
@@ -19,10 +21,10 @@
 #
 # Exits nonzero on any violation. Pass a different build dir as $1.
 set -eu
-BUILD_DIR="${1:-build-fault}"
+BUILD_DIR="${1:-build}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
-cmake -B "$BUILD_DIR" -S "$ROOT" -DCAML_FAULT_INJECTION=ON >/dev/null
+cmake -B "$BUILD_DIR" -S "$ROOT" >/dev/null
 cmake --build "$BUILD_DIR" -j --target caml_cli caml_tests characterize_library >/dev/null
 CAML="$BUILD_DIR/tools/caml"
 
@@ -45,7 +47,7 @@ corrupt_byte() {
   printf '\377' | dd of="$file" bs=1 seek="$offset" conv=notrunc 2>/dev/null
 }
 
-echo "== fault-gated unit tests"
+echo "== fault-injection unit tests"
 "$BUILD_DIR"/tests/caml_tests --gtest_filter='IoFault*:DurabilityFault*' \
   | grep -q 'PASSED' || { echo "FAIL: fault-injection unit tests failed"; exit 1; }
 
@@ -54,6 +56,16 @@ echo "== generate a small library"
 # First three cells are plenty for the kill sweep and keep it fast.
 awk '/^\.SUBCKT/{n++} n<=3' "$WORK/lib/28SOI.sp" > "$WORK/small.sp"
 grep -q '^\.SUBCKT' "$WORK/small.sp" || { echo "FAIL: no cells extracted"; exit 1; }
+
+echo "== malformed CAML_FAULT is a clean CLI error"
+status=0
+CAML_FAULT=bogus "$CAML" characterize "$WORK/small.sp" -o "$WORK/bogus" \
+  >/dev/null 2>"$WORK/bogus.err" || status=$?
+[ "$status" != 0 ] || { echo "FAIL: caml accepted CAML_FAULT=bogus"; exit 1; }
+grep -q "CAML_FAULT" "$WORK/bogus.err" \
+  || { echo "FAIL: malformed-spec error does not name CAML_FAULT"; cat "$WORK/bogus.err"; exit 1; }
+[ ! -e "$WORK/bogus" ] \
+  || { echo "FAIL: caml did work (created its output dir) before rejecting CAML_FAULT"; exit 1; }
 
 echo "== kill sweep: SIGKILL at the Nth persistence op, resume, byte-compare"
 "$CAML" characterize "$WORK/small.sp" -o "$WORK/ref" --jobs 1 --checkpoint-every 1 \

@@ -168,7 +168,13 @@ CaMatrix build_unlabeled_matrix(const Cell& cell, const std::vector<Defect>& def
                                 StimulusPolicy policy, const CanonicalCell& canon,
                                 const SimConfig& sim, const MatrixOptions& options) {
   const std::vector<Stimulus> stimuli = generate_stimuli(cell.num_inputs(), policy);
-  const GoldenResult golden = simulate_golden(cell, stimuli, sim);
+  return build_unlabeled_matrix(cell, defects, stimuli, simulate_golden(cell, stimuli, sim),
+                                canon, options);
+}
+
+CaMatrix build_unlabeled_matrix(const Cell& cell, const std::vector<Defect>& defects,
+                                const std::vector<Stimulus>& stimuli, const GoldenResult& golden,
+                                const CanonicalCell& canon, const MatrixOptions& options) {
   MatrixOptions opt = options;
   opt.include_free_rows = false;  // inference rows only
   MatrixBuilder builder(cell, canon, opt);

@@ -7,6 +7,7 @@
 #include "camatrix/canonical.hpp"
 #include "camodel/ca_model.hpp"
 #include "defect/defect.hpp"
+#include "sim/evaluator.hpp"
 
 namespace caml {
 
@@ -94,6 +95,12 @@ CaMatrix build_ca_matrix(const Cell& cell, const CaModel& model, const Canonical
 CaMatrix build_unlabeled_matrix(const Cell& cell, const std::vector<Defect>& defects,
                                 StimulusPolicy policy, const CanonicalCell& canon,
                                 const SimConfig& sim = {}, const MatrixOptions& options = {});
+
+/// As above, from stimuli and their defect-free simulation the caller
+/// already holds (`golden` = simulate_golden(cell, stimuli)).
+CaMatrix build_unlabeled_matrix(const Cell& cell, const std::vector<Defect>& defects,
+                                const std::vector<Stimulus>& stimuli, const GoldenResult& golden,
+                                const CanonicalCell& canon, const MatrixOptions& options = {});
 
 /// Number of feature columns a matrix will have for a cell group with
 /// the given shape under the given options.

@@ -72,17 +72,19 @@ PreparedPrediction prepare_prediction(const Cell& cell, const CanonicalCell& can
                                       const MatrixOptions& matrix_options,
                                       std::vector<Defect> defects) {
   PreparedPrediction prepared;
-  prepared.matrix = [&] {
-    CAML_TRACE_SPAN_ITEMS("matrix_build", defects.size());
-    return build_unlabeled_matrix(cell, defects, policy, canonical, sim, matrix_options);
-  }();
   CaModel& predicted = prepared.model;
   predicted.cell_name = cell.name();
   predicted.num_inputs = cell.num_inputs();
   predicted.policy = policy;
   predicted.stimuli = generate_stimuli(cell.num_inputs(), policy);
-  const GoldenResult golden = simulate_golden(cell, predicted.stimuli, sim);
-  predicted.golden_responses = golden.responses;
+  {
+    // One defect-free simulation feeds both the matrix and the skeleton.
+    CAML_TRACE_SPAN_ITEMS("matrix_build", defects.size());
+    GoldenResult golden = simulate_golden(cell, predicted.stimuli, sim);
+    prepared.matrix = build_unlabeled_matrix(cell, defects, predicted.stimuli, golden, canonical,
+                                             matrix_options);
+    predicted.golden_responses = std::move(golden.responses);
+  }
   predicted.defects.resize(defects.size());
   for (std::size_t d = 0; d < defects.size(); ++d) {
     predicted.defects[d].defect = defects[d];

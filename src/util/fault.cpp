@@ -1,15 +1,15 @@
 #include "util/fault.hpp"
 
-#if CAML_FAULT_INJECTION
-
 #include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -22,14 +22,16 @@ namespace {
 
 struct State {
   Spec spec;
-  bool armed = false;
   std::size_t hits = 0;       // matching operations since arm
   std::size_t triggered = 0;  // actual firings
 };
 
+/// The disarmed fast path reads only this flag; it is written under
+/// g_mutex. A hook that races a disarm and takes the lock afterwards
+/// finds kind kNone, which applies to no operation.
+std::atomic<bool> g_armed{false};
 std::mutex g_mutex;
 State g_state;
-std::once_flag g_env_once;
 
 Kind parse_kind(const std::string& name) {
   if (name == "fail-write") return Kind::kFailWrite;
@@ -42,35 +44,9 @@ Kind parse_kind(const std::string& name) {
   if (name == "eagain") return Kind::kEagain;
   if (name == "eintr") return Kind::kEintr;
   if (name == "stall") return Kind::kStall;
-  throw Error("CAML_FAULT: unknown fault kind '" + name +
+  throw Error("unknown fault kind '" + name +
               "' (want fail-write | short-write | torn-rename | kill | slow-io | "
               "short-read | econnreset | eagain | eintr | stall)");
-}
-
-/// Parses CAML_FAULT once per process; an unset/empty variable leaves
-/// the harness disarmed. A malformed spec throws on the first hook hit
-/// (loud beats silently ignoring a typo in a crash test).
-void arm_from_env_locked() {
-  const char* env = std::getenv("CAML_FAULT");
-  if (env == nullptr || *env == '\0') return;
-  const std::vector<std::string> parts = split(env, ":");
-  if (parts.size() < 3 || parts.size() > 4) {
-    throw Error(std::string("CAML_FAULT: expected <point>:<kind>:<nth>[:<param>], got '") +
-                env + "'");
-  }
-  Spec spec;
-  spec.point = parts[0];
-  spec.kind = parse_kind(parts[1]);
-  const auto nth = try_parse_uint64(parts[2]);
-  if (!nth || *nth == 0) throw Error("CAML_FAULT: nth must be a positive integer");
-  spec.nth = static_cast<std::size_t>(*nth);
-  if (parts.size() == 4) {
-    const auto param = try_parse_uint64(parts[3]);
-    if (!param) throw Error("CAML_FAULT: param must be a non-negative integer");
-    spec.param = static_cast<std::size_t>(*param);
-  }
-  g_state.spec = spec;
-  g_state.armed = true;
 }
 
 bool point_matches(const std::string& pattern, const char* point) {
@@ -107,26 +83,32 @@ std::size_t storm_span(const Spec& spec) {
   return 1;
 }
 
-/// Counts the operation and decides whether the armed spec fires on it.
-/// Must be called with g_mutex held.
-bool op_fires_locked(const char* point, Op op) {
-  std::call_once(g_env_once, [] { arm_from_env_locked(); });
-  if (!g_state.armed || !point_matches(g_state.spec.point, point)) return false;
-  const Kind kind = g_state.spec.kind;
-  if (!kind_applies(kind, op)) return false;
-  ++g_state.hits;
-  const std::size_t nth = g_state.spec.nth;
+/// The shared preamble of every hook: counts the operation and returns
+/// the armed spec when it fires on it. Disarmed, this is one relaxed
+/// load and a branch.
+std::optional<Spec> fire(const char* point, Op op) {
+  if (!g_armed.load(std::memory_order_relaxed)) return std::nullopt;
+  std::lock_guard<std::mutex> lock(g_mutex);
+  const Spec& spec = g_state.spec;
+  if (!point_matches(spec.point, point) || !kind_applies(spec.kind, op)) return std::nullopt;
+  const std::size_t hits = ++g_state.hits;
   // slow-io and the socket trickle kinds fire from the nth op on; the
   // EAGAIN/EINTR storms fire for a bounded run of consecutive ops; the
   // one-shot kinds fire exactly once.
-  if (kind == Kind::kSlowIo || kind == Kind::kShortRead ||
-      (kind == Kind::kShortWrite && (op == Op::kNetWrite))) {
-    return g_state.hits >= nth;
+  bool fires = hits == spec.nth;
+  if (spec.kind == Kind::kSlowIo || spec.kind == Kind::kShortRead ||
+      (spec.kind == Kind::kShortWrite && op == Op::kNetWrite)) {
+    fires = hits >= spec.nth;
+  } else if (spec.kind == Kind::kEagain || spec.kind == Kind::kEintr) {
+    fires = hits >= spec.nth && hits < spec.nth + storm_span(spec);
   }
-  if (kind == Kind::kEagain || kind == Kind::kEintr) {
-    return g_state.hits >= nth && g_state.hits < nth + storm_span(g_state.spec);
-  }
-  return g_state.hits == nth;
+  if (!fires) return std::nullopt;
+  ++g_state.triggered;
+  return spec;
+}
+
+void sleep_ms(std::size_t param, std::size_t default_ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(param > 0 ? param : default_ms));
 }
 
 [[noreturn]] void kill_self() {
@@ -137,21 +119,68 @@ bool op_fires_locked(const char* point, Op op) {
   std::abort();
 }
 
+/// Shared body of the socket read/write hooks: the only difference
+/// between the two is the Op class (which controls kind applicability).
+NetDecision net_io_decision(const char* point, std::size_t n, Op op) {
+  const std::optional<Spec> spec = fire(point, op);
+  if (!spec) return {n, 0};
+  switch (spec->kind) {
+    case Kind::kShortRead:
+    case Kind::kShortWrite: {
+      // Trickle: never deliver more than `param` bytes per syscall.
+      const std::size_t cap = spec->param > 0 ? spec->param : 1;
+      return {std::min(n, cap), 0};
+    }
+    case Kind::kConnReset:
+      return {0, ECONNRESET};
+    case Kind::kEagain:
+      return {0, EAGAIN};
+    case Kind::kEintr:
+      return {0, EINTR};
+    case Kind::kStall:
+      sleep_ms(spec->param, 200);
+      return {n, 0};
+    case Kind::kKill:
+      kill_self();
+    case Kind::kSlowIo:
+      sleep_ms(spec->param, 50);
+      return {n, 0};
+    default:
+      return {n, 0};
+  }
+}
+
 }  // namespace
+
+Spec parse_spec(std::string_view text) {
+  const std::vector<std::string> parts = split_keep_empty(text, ':');
+  if (parts.size() < 3 || parts.size() > 4 || parts[0].empty()) {
+    throw Error("expected <point>:<kind>:<nth>[:<param>], got '" + std::string(text) + "'");
+  }
+  Spec spec;
+  spec.point = parts[0];
+  spec.kind = parse_kind(parts[1]);
+  const auto nth = try_parse_uint64(parts[2]);
+  if (!nth || *nth == 0) throw Error("nth must be a positive integer, got '" + parts[2] + "'");
+  spec.nth = static_cast<std::size_t>(*nth);
+  if (parts.size() == 4) {
+    const auto param = try_parse_uint64(parts[3]);
+    if (!param) throw Error("param must be a non-negative integer, got '" + parts[3] + "'");
+    spec.param = static_cast<std::size_t>(*param);
+  }
+  return spec;
+}
 
 void arm(const Spec& spec) {
   std::lock_guard<std::mutex> lock(g_mutex);
-  // Defeat a pending CAML_FAULT parse: the test API always wins.
-  std::call_once(g_env_once, [] {});
-  g_state = State{};
-  g_state.spec = spec;
-  g_state.armed = spec.kind != Kind::kNone;
+  g_state = State{spec};
+  g_armed.store(spec.kind != Kind::kNone, std::memory_order_relaxed);
 }
 
 void disarm() {
   std::lock_guard<std::mutex> lock(g_mutex);
-  std::call_once(g_env_once, [] {});
   g_state = State{};
+  g_armed.store(false, std::memory_order_relaxed);
 }
 
 std::size_t times_triggered() {
@@ -165,23 +194,18 @@ std::size_t times_hit() {
 }
 
 WriteDecision before_write(const char* point, std::size_t n) {
-  std::unique_lock<std::mutex> lock(g_mutex);
-  if (!op_fires_locked(point, Op::kFileWrite)) return {n, false};
-  ++g_state.triggered;
-  const Spec spec = g_state.spec;
-  lock.unlock();
-  switch (spec.kind) {
+  const std::optional<Spec> spec = fire(point, Op::kFileWrite);
+  if (!spec) return {n, false};
+  switch (spec->kind) {
     case Kind::kFailWrite:
       throw Error(std::string("fault injection: failing write at '") + point + "' (op " +
-                  std::to_string(spec.nth) + ")");
-    case Kind::kShortWrite: {
-      const std::size_t keep = spec.param > 0 ? std::min(spec.param, n) : n / 2;
-      return {keep, true};
-    }
+                  std::to_string(spec->nth) + ")");
+    case Kind::kShortWrite:
+      return {spec->param > 0 ? std::min(spec->param, n) : n / 2, true};
     case Kind::kKill:
       kill_self();
     case Kind::kSlowIo:
-      std::this_thread::sleep_for(std::chrono::milliseconds(spec.param > 0 ? spec.param : 50));
+      sleep_ms(spec->param, 50);
       return {n, false};
     default:
       return {n, false};
@@ -189,62 +213,21 @@ WriteDecision before_write(const char* point, std::size_t n) {
 }
 
 void before_rename(const char* point) {
-  std::unique_lock<std::mutex> lock(g_mutex);
-  if (!op_fires_locked(point, Op::kFileRename)) return;
-  ++g_state.triggered;
-  const Spec spec = g_state.spec;
-  lock.unlock();
-  switch (spec.kind) {
+  const std::optional<Spec> spec = fire(point, Op::kFileRename);
+  if (!spec) return;
+  switch (spec->kind) {
     case Kind::kTornRename:
       throw Error(std::string("fault injection: torn rename at '") + point + "' (op " +
-                  std::to_string(spec.nth) + ")");
+                  std::to_string(spec->nth) + ")");
     case Kind::kKill:
       kill_self();
     case Kind::kSlowIo:
-      std::this_thread::sleep_for(std::chrono::milliseconds(spec.param > 0 ? spec.param : 50));
+      sleep_ms(spec->param, 50);
       return;
     default:
       return;
   }
 }
-
-namespace {
-
-/// Shared body of the socket read/write hooks: the only difference
-/// between the two is the Op class (which controls kind applicability).
-NetDecision net_io_decision(const char* point, std::size_t n, Op op) {
-  std::unique_lock<std::mutex> lock(g_mutex);
-  if (!op_fires_locked(point, op)) return {n, 0};
-  ++g_state.triggered;
-  const Spec spec = g_state.spec;
-  lock.unlock();
-  switch (spec.kind) {
-    case Kind::kShortRead:
-    case Kind::kShortWrite: {
-      // Trickle: never deliver more than `param` bytes per syscall.
-      const std::size_t cap = spec.param > 0 ? spec.param : 1;
-      return {std::min(n, std::max<std::size_t>(cap, 1)), 0};
-    }
-    case Kind::kConnReset:
-      return {0, ECONNRESET};
-    case Kind::kEagain:
-      return {0, EAGAIN};
-    case Kind::kEintr:
-      return {0, EINTR};
-    case Kind::kStall:
-      std::this_thread::sleep_for(std::chrono::milliseconds(spec.param > 0 ? spec.param : 200));
-      return {n, 0};
-    case Kind::kKill:
-      kill_self();
-    case Kind::kSlowIo:
-      std::this_thread::sleep_for(std::chrono::milliseconds(spec.param > 0 ? spec.param : 50));
-      return {n, 0};
-    default:
-      return {n, 0};
-  }
-}
-
-}  // namespace
 
 NetDecision before_net_read(const char* point, std::size_t n) {
   return net_io_decision(point, n, Op::kNetRead);
@@ -255,19 +238,14 @@ NetDecision before_net_write(const char* point, std::size_t n) {
 }
 
 bool before_net_poll(const char* point) {
-  std::unique_lock<std::mutex> lock(g_mutex);
-  if (!op_fires_locked(point, Op::kNetPoll)) return false;
-  ++g_state.triggered;
-  const Spec spec = g_state.spec;
-  lock.unlock();
-  if (spec.kind == Kind::kKill) kill_self();
-  if (spec.kind == Kind::kSlowIo) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(spec.param > 0 ? spec.param : 50));
+  const std::optional<Spec> spec = fire(point, Op::kNetPoll);
+  if (!spec) return false;
+  if (spec->kind == Kind::kKill) kill_self();
+  if (spec->kind == Kind::kSlowIo) {
+    sleep_ms(spec->param, 50);
     return false;
   }
-  return spec.kind == Kind::kEintr;
+  return spec->kind == Kind::kEintr;
 }
 
 }  // namespace caml::fault
-
-#endif  // CAML_FAULT_INJECTION

@@ -2,17 +2,17 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace caml::fault {
 
 /// Deterministic fault-injection harness for the persistence and
 /// network paths.
 ///
-/// Compiled in only under -DCAML_FAULT_INJECTION=ON; the default build
-/// gets inline no-op hooks (zero overhead, nothing to misconfigure in
-/// production). When compiled in, one process-wide fault spec is armed
-/// either through the test API (arm/disarm) or the CAML_FAULT
-/// environment variable:
+/// Compiled into every build and armed only at runtime: one process-wide
+/// fault spec, set through arm/disarm. The `caml` CLI arms it once at
+/// startup, before any work, from the CAML_FAULT environment variable
+/// (parsed by parse_spec; a malformed spec is a CLI error):
 ///
 ///   CAML_FAULT=<point>:<kind>:<nth>[:<param>]
 ///
@@ -48,6 +48,9 @@ namespace caml::fault {
 /// matching operations share one counter per armed spec, so
 /// "*:kill:7" kills at the 7th matching operation of the process —
 /// the knob the crash-safety harness sweeps.
+///
+/// Disarmed, a hook returns after one relaxed atomic load and a branch:
+/// no lock, no environment read, no allocation.
 enum class Kind {
   kNone,
   kFailWrite,
@@ -87,19 +90,12 @@ struct NetDecision {
   int force_errno;
 };
 
-/// True when the harness is compiled in.
-constexpr bool enabled() {
-#if CAML_FAULT_INJECTION
-  return true;
-#else
-  return false;
-#endif
-}
+/// Parses "<point>:<kind>:<nth>[:<param>]" (the CAML_FAULT format).
+/// Throws caml::Error naming the malformed part.
+Spec parse_spec(std::string_view text);
 
-#if CAML_FAULT_INJECTION
-
-/// Arms the process-wide spec (replacing any previous one, including one
-/// parsed from CAML_FAULT) and resets the operation counter.
+/// Arms the process-wide spec (replacing any previous one) and resets
+/// the operation counter.
 void arm(const Spec& spec);
 /// Disarms and resets counters.
 void disarm();
@@ -125,19 +121,5 @@ NetDecision before_net_write(const char* point, std::size_t n);
 /// Hook before a poll()-style wait at `point` ("net-poll"). Returns
 /// true when the caller must behave as if poll failed with EINTR.
 bool before_net_poll(const char* point);
-
-#else
-
-inline void arm(const Spec&) {}
-inline void disarm() {}
-inline std::size_t times_triggered() { return 0; }
-inline std::size_t times_hit() { return 0; }
-inline WriteDecision before_write(const char*, std::size_t n) { return {n, false}; }
-inline void before_rename(const char*) {}
-inline NetDecision before_net_read(const char*, std::size_t n) { return {n, 0}; }
-inline NetDecision before_net_write(const char*, std::size_t n) { return {n, 0}; }
-inline bool before_net_poll(const char*) { return false; }
-
-#endif
 
 }  // namespace caml::fault

@@ -1,6 +1,6 @@
 // Crash-safety tests: checkpoint journal semantics, durable artifact
 // round-trips with corruption rejection, characterize/hybrid resume
-// determinism, and (under -DCAML_FAULT_INJECTION=ON) a real SIGKILL
+// determinism, and a real SIGKILL (armed through the fault hooks)
 // mid-run followed by a byte-compare against an uninterrupted run.
 #include <gtest/gtest.h>
 
@@ -386,11 +386,9 @@ TEST(HybridCheckpoint, ResumeReplaysOutcomesWithoutRetraining) {
 }
 
 // ---------------------------------------------------------------------------
-// Real crash: SIGKILL mid-run, then resume (fault-injection builds only)
+// Real crash: SIGKILL mid-run, then resume
 
 TEST(DurabilityFault, KillMidRunThenResumeIsByteIdentical) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
-
   const Library lib = small_library();
   CharacterizeOptions opts;
   opts.jobs = 1;  // deterministic op order in the child

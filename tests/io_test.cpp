@@ -1,6 +1,6 @@
 // Tests for the durable-I/O layer: CRC-32, atomic file replacement, the
 // CAMLF1 checksummed container, and the fault-injection hooks wired into
-// AtomicFileWriter (the latter only under -DCAML_FAULT_INJECTION=ON).
+// AtomicFileWriter.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -201,13 +201,10 @@ TEST(IoContainer, ParseErrorNamesTheFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection (compiled in only under -DCAML_FAULT_INJECTION=ON)
+// Fault injection
 
 class IoFault : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
-  }
   void TearDown() override { fault::disarm(); }
 };
 

@@ -17,8 +17,7 @@ namespace {
 
 /// Every test arms one process-wide fault spec, exercises a util/net
 /// primitive over a socketpair, and asserts the retry loop absorbed (or
-/// correctly surfaced) the injected kernel behavior. All tests skip in
-/// builds without -DCAML_FAULT_INJECTION=ON.
+/// correctly surfaced) the injected kernel behavior.
 
 struct SocketPair {
   Fd a, b;
@@ -44,7 +43,6 @@ std::string pattern_bytes(std::size_t n) {
 }
 
 TEST(NetFault, EintrStormOnReadIsRetried) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   const std::string sent = pattern_bytes(64);
   ASSERT_EQ(::send(sp.b.get(), sent.data(), sent.size(), 0),
@@ -60,7 +58,6 @@ TEST(NetFault, EintrStormOnReadIsRetried) {
 }
 
 TEST(NetFault, EintrStormOnWriteIsRetried) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   const std::string sent = pattern_bytes(64);
   {
@@ -74,7 +71,6 @@ TEST(NetFault, EintrStormOnWriteIsRetried) {
 }
 
 TEST(NetFault, EintrStormOnPollIsRetried) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   const char byte = 'x';
   ASSERT_EQ(::send(sp.b.get(), &byte, 1, 0), 1);
@@ -85,7 +81,6 @@ TEST(NetFault, EintrStormOnPollIsRetried) {
 }
 
 TEST(NetFault, EagainStormOnReadIsAbsorbed) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   const std::string sent = pattern_bytes(128);
   ASSERT_EQ(::send(sp.b.get(), sent.data(), sent.size(), 0),
@@ -101,7 +96,6 @@ TEST(NetFault, EagainStormOnReadIsAbsorbed) {
 }
 
 TEST(NetFault, ShortReadTrickleReassembles) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   const std::string sent = pattern_bytes(300);
   ASSERT_EQ(::send(sp.b.get(), sent.data(), sent.size(), 0),
@@ -117,7 +111,6 @@ TEST(NetFault, ShortReadTrickleReassembles) {
 }
 
 TEST(NetFault, ShortWriteTrickleDeliversEverything) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   const std::string sent = pattern_bytes(300);
   // Drain concurrently: 300 one-byte sends each cost a whole skb of
@@ -136,7 +129,6 @@ TEST(NetFault, ShortWriteTrickleDeliversEverything) {
 }
 
 TEST(NetFault, ConnResetOnReadSurfacesAsConnectionLost) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   Armed armed({"net-read", fault::Kind::kConnReset, 1, 0});
   char buf[16];
@@ -152,7 +144,6 @@ TEST(NetFault, ConnResetOnReadSurfacesAsConnectionLost) {
 }
 
 TEST(NetFault, ConnResetOnWriteSurfacesAsConnectionLost) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   Armed armed({"net-write", fault::Kind::kConnReset, 1, 0});
   const std::string sent = pattern_bytes(32);
@@ -165,7 +156,6 @@ TEST(NetFault, ConnResetOnWriteSurfacesAsConnectionLost) {
 }
 
 TEST(NetFault, NonBlockingReadSomeAbsorbsEintrAndReportsEagain) {
-  if (!fault::enabled()) GTEST_SKIP() << "built without CAML_FAULT_INJECTION";
   SocketPair sp;
   set_nonblocking(sp.a.get(), true, "test socket");
   const std::string sent = pattern_bytes(16);

@@ -49,6 +49,7 @@
 #include "serve/server.hpp"
 #include "store/binary_store.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/io.hpp"
 #include "util/log.hpp"
 #include "util/net.hpp"
@@ -872,6 +873,18 @@ void finish_obs(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
+  // Crash and chaos harnesses arm the fault hooks through CAML_FAULT
+  // (see util/fault.hpp). Parsed once here, before any work, so a
+  // malformed spec fails the command before it writes anything and never
+  // surfaces on a worker or reactor thread.
+  if (const char* spec = std::getenv("CAML_FAULT"); spec != nullptr && *spec != '\0') {
+    try {
+      fault::arm(fault::parse_spec(spec));
+    } catch (const caml::Error& e) {
+      std::cerr << "error: CAML_FAULT: " << e.what() << '\n';
+      return 2;
+    }
+  }
   if (!args.trace_path.empty()) obs::trace_start();
   if (args.profile) obs::profile_start();
   try {
