@@ -1,25 +1,25 @@
-// E14 — model-store load path: text parse vs. binary mmap.
+// E14 — model-store open path: the mmap-able binary section.
 //
 // Two measurements back the binary store's design claims:
 //
-//   * load scaling: synthetic stores (4 groups x 20 complete binary
-//     trees, node count per tree swept 1x/16x/64x) are saved as both the
-//     text interchange format and the binary section, then timed:
-//     GroupModelStore::load_file (read + CRC + parse + tree build) vs
-//     MappedModelStore::open in kFull (mmap + CRC + structural node
-//     validation) and kMapOnly (mmap + header/index/section walk only —
-//     the O(header+index) open, independent of forest node counts).
-//     first_answer adds one batched classification on the opened store,
-//     proving the mapping serves immediately (no warm-up parse).
+//   * open scaling: synthetic stores (4 groups x 20 complete binary
+//     trees, node count per tree swept 1x/16x/64x) are written as the
+//     binary section, then timed: MappedModelStore::open in kFull
+//     (mmap + CRC + structural node validation) and kMapOnly (mmap +
+//     header/index/section walk only — the O(header+index) open,
+//     independent of forest node counts). first_answer adds one batched
+//     classification on the opened store, proving the mapping serves
+//     immediately (no warm-up parse).
 //   * serve cold start: wall time from `open store` to `first answered
-//     prediction` through a real in-process daemon, text vs binary
-//     backend, on a trained NAND2 store.
+//     prediction` through a real in-process daemon on a trained NAND2
+//     store.
 //
 // Output: one `RESULT key=value ...` line per measurement (parsed by
 // scripts/run_bench.sh into BENCH_PR7.json) plus a human-readable table.
 // A final identity check re-verifies byte-identical hexfloat
-// probabilities between the text-loaded and mapped stores.
-// --quick shrinks the sweep to a seconds-scale smoke.
+// probabilities between the in-memory forests the store was written
+// from and the mapped store. --quick shrinks the sweep to a
+// seconds-scale smoke.
 #include <unistd.h>
 
 #include <algorithm>
@@ -56,7 +56,8 @@ double us_since(Clock::time_point t0) {
 
 /// Complete binary tree of `depth` levels (2^depth - 1 nodes): node i is
 /// internal iff both children 2i+1/2i+2 exist — the same
-/// forward-pointing shape CART emits, at a size we control exactly.
+/// forward-pointing shape CART emits, at a size we control exactly
+/// (training cannot hit an exact node count, hence from_image).
 DecisionTree make_synthetic_tree(std::size_t depth, std::size_t num_features,
                                  std::uint64_t salt) {
   const std::size_t n = (std::size_t{1} << depth) - 1;
@@ -113,6 +114,25 @@ std::string hexfloat_probas(const std::vector<double>& probas) {
   return os.str();
 }
 
+/// True when the store mapped from `path` answers with the same bits as
+/// `source`, the in-memory store it was written from (hexfloat compare of
+/// 128 probe rows over every group).
+bool mapped_matches(const GroupModelStore& source, const std::string& path) {
+  const store::MappedModelStore mapped = store::MappedModelStore::open(path);
+  for (const GroupKey& key : source.group_keys()) {
+    const RandomForest* forest = source.forest_for(key);
+    const auto* view = dynamic_cast<const MappedForest*>(mapped.classifier_for(key));
+    if (view == nullptr) return false;
+    const std::size_t features = forest->num_features();
+    const std::vector<std::int8_t> probe = make_rows(128, features);
+    if (hexfloat_probas(forest->predict_proba_batch(probe.data(), 128, features)) !=
+        hexfloat_probas(view->predict_proba_batch(probe.data(), 128, features))) {
+      return false;
+    }
+  }
+  return mapped.num_groups() == source.num_groups();
+}
+
 /// Median of `reps` timed runs of `fn` (microseconds).
 template <typename Fn>
 double median_us(int reps, Fn&& fn) {
@@ -130,9 +150,7 @@ double median_us(int reps, Fn&& fn) {
 struct LoadRow {
   std::size_t scale = 1;
   std::size_t nodes_per_tree = 0;
-  std::uintmax_t text_bytes = 0;
   std::uintmax_t bin_bytes = 0;
-  double text_load_us = 0.0;
   double bin_open_full_us = 0.0;
   double bin_open_map_us = 0.0;
   double first_answer_us = 0.0;
@@ -151,11 +169,10 @@ GroupModelStore make_trained_store() {
   return GroupModelStore::train(training, ml);
 }
 
-double serve_cold_start_us(const std::string& store_path, const std::string& netlist,
-                           const char* tag) {
+double serve_cold_start_us(const std::string& store_path, const std::string& netlist) {
   const std::string socket_path =
       (std::filesystem::temp_directory_path() /
-       ("caml_bench_store_" + std::to_string(::getpid()) + "_" + tag + ".sock"))
+       ("caml_bench_store_" + std::to_string(::getpid()) + ".sock"))
           .string();
   const auto t0 = Clock::now();
   serve::ServerOptions options;
@@ -193,26 +210,23 @@ int main(int argc, char** argv) {
                                                 : std::vector<std::size_t>{1, 16, 64};
   const int reps = quick ? 3 : 7;
 
-  std::cout << "model-store load: text parse vs binary mmap"
-            << (quick ? " (--quick)" : "") << "\n\n";
+  std::cout << "model-store open: binary mmap" << (quick ? " (--quick)" : "") << "\n\n";
 
   std::vector<LoadRow> rows;
+  // The last (largest) store stays in memory for the identity check.
+  GroupModelStore synthetic;
+  std::string bin_path;
   for (const std::size_t scale : scales) {
     std::size_t depth = base_depth;
     for (std::size_t s = scale; s > 1; s /= 4) depth += 2;
-    const GroupModelStore synthetic = make_synthetic_store(depth);
-    const std::string text_path = work + "/store_" + std::to_string(scale) + "x.caml";
-    const std::string bin_path = work + "/store_" + std::to_string(scale) + "x.bin.caml";
-    synthetic.save_file(text_path);
+    synthetic = make_synthetic_store(depth);
+    bin_path = work + "/store_" + std::to_string(scale) + "x.caml";
     store::write_binary_store_file(bin_path, synthetic);
 
     LoadRow row;
     row.scale = scale;
     row.nodes_per_tree = (std::size_t{1} << depth) - 1;
-    row.text_bytes = std::filesystem::file_size(text_path);
     row.bin_bytes = std::filesystem::file_size(bin_path);
-    row.text_load_us =
-        median_us(reps, [&] { GroupModelStore::load_file(text_path); });
     row.bin_open_full_us = median_us(reps, [&] {
       store::MappedModelStore::open(bin_path, store::MappedModelStore::Verify::kFull);
     });
@@ -231,8 +245,7 @@ int main(int argc, char** argv) {
     rows.push_back(row);
 
     std::cout << "RESULT load scale=" << row.scale << " nodes_per_tree=" << row.nodes_per_tree
-              << " text_bytes=" << row.text_bytes << " bin_bytes=" << row.bin_bytes
-              << std::fixed << std::setprecision(1) << " text_load_us=" << row.text_load_us
+              << " bin_bytes=" << row.bin_bytes << std::fixed << std::setprecision(1)
               << " bin_open_full_us=" << row.bin_open_full_us
               << " bin_open_map_us=" << row.bin_open_map_us
               << " first_answer_us=" << row.first_answer_us << std::defaultfloat << "\n";
@@ -244,67 +257,42 @@ int main(int argc, char** argv) {
   table.cell("scale");
   table.cell("nodes/tree");
   table.cell("bin MB");
-  table.cell("text load ms");
   table.cell("open full ms");
   table.cell("open map ms");
-  table.cell("text/map");
+  table.cell("first answer ms");
   for (const LoadRow& row : rows) {
     table.new_row();
     table.cell(std::to_string(row.scale) + "x");
     table.cell(static_cast<long long>(row.nodes_per_tree));
     table.cell(static_cast<double>(row.bin_bytes) / (1024.0 * 1024.0), 1);
-    table.cell(row.text_load_us / 1000.0, 2);
     table.cell(row.bin_open_full_us / 1000.0, 2);
     table.cell(row.bin_open_map_us / 1000.0, 2);
-    table.cell(row.bin_open_map_us > 0 ? row.text_load_us / row.bin_open_map_us : 0.0, 1);
+    table.cell(row.first_answer_us / 1000.0, 2);
   }
   table.print(std::cout);
   std::cout << "\n";
 
-  // Identity: the mapped store and the text-loaded store answer with the
-  // same bits (hexfloat compare over every group of the largest store).
-  bool identical = true;
-  {
-    const std::size_t scale = scales.back();
-    const std::string text_path = work + "/store_" + std::to_string(scale) + "x.caml";
-    const std::string bin_path = work + "/store_" + std::to_string(scale) + "x.bin.caml";
-    const GroupModelStore loaded = GroupModelStore::load_file(text_path);
-    const store::MappedModelStore mapped = store::MappedModelStore::open(bin_path);
-    const std::vector<std::int8_t> probe = make_rows(128, 12);
-    for (const GroupKey& key : loaded.group_keys()) {
-      const auto* text_forest = dynamic_cast<const RandomForest*>(loaded.classifier_for(key));
-      const auto* map_forest = dynamic_cast<const MappedForest*>(mapped.classifier_for(key));
-      if (text_forest == nullptr || map_forest == nullptr) {
-        identical = false;
-        break;
-      }
-      identical = identical &&
-                  hexfloat_probas(text_forest->predict_proba_batch(probe.data(), 128, 12)) ==
-                      hexfloat_probas(map_forest->predict_proba_batch(probe.data(), 128, 12));
-    }
-  }
-  std::cout << "predictions identical across load paths: " << (identical ? "yes" : "NO")
-            << "\n\n";
-
-  // Serve cold start on a real trained store, text vs binary backend.
-  std::cout << "serve cold start (open store -> first answered prediction):\n";
+  // Identity: each mapped store answers with the same bits as the
+  // in-memory forests it was written from — the largest synthetic store
+  // and a trained NAND2 store, which the cold start below serves.
   const GroupModelStore trained = make_trained_store();
-  const std::string trained_text = work + "/nand2.caml";
-  const std::string trained_bin = work + "/nand2.bin.caml";
-  trained.save_file(trained_text);
-  store::write_binary_store_file(trained_bin, trained);
+  const std::string trained_path = work + "/nand2.caml";
+  store::write_binary_store_file(trained_path, trained);
+  const bool identical =
+      mapped_matches(synthetic, bin_path) && mapped_matches(trained, trained_path);
+  std::cout << "mapped predictions identical to in-memory forests: "
+            << (identical ? "yes" : "NO") << "\n\n";
+
+  std::cout << "serve cold start (open store -> first answered prediction):\n";
   LibraryComposition comp;
   comp.functions = {"NAND2"};
   comp.drives = {{1, StructureVariant::kWide}};
   comp.flavors = {{"", 1.0}};
   const Library lib = build_library(technology_28soi(), comp);
   const std::string netlist = SpiceWriter().to_string(lib.cells.front().cell);
-  const double text_cold = serve_cold_start_us(trained_text, netlist, "text");
-  const double bin_cold = serve_cold_start_us(trained_bin, netlist, "bin");
-  std::cout << "RESULT cold_start backend=text us=" << std::fixed << std::setprecision(1)
-            << text_cold << "\n";
-  std::cout << "RESULT cold_start backend=binary us=" << bin_cold << std::defaultfloat
-            << "\n";
+  const double cold = serve_cold_start_us(trained_path, netlist);
+  std::cout << "RESULT cold_start backend=binary us=" << std::fixed << std::setprecision(1)
+            << cold << std::defaultfloat << "\n";
 
   std::filesystem::remove_all(work);
   return identical ? 0 : 1;

@@ -66,7 +66,6 @@ stop_server() {
 echo "== setup: library, store, reference predictions"
 "$BUILD_DIR"/examples/characterize_library "$WORK/lib" >/dev/null
 "$CAML" train "$WORK/lib/28SOI.sp" "$WORK/lib" -o "$WORK/groups.caml" --trees 16 >/dev/null
-"$CAML" store "$WORK/groups.caml" --to-binary "$WORK/groups.bin.caml" >/dev/null
 "$CAML" predict "$WORK/lib/28SOI.sp" -m "$WORK/groups.caml" -o "$WORK/ref" --jobs 1 >/dev/null
 CELL=NAND2X1
 awk "/^\.SUBCKT $CELL /,/^\.ENDS/" "$WORK/lib/28SOI.sp" > "$WORK/cell.sp"
@@ -167,12 +166,12 @@ stop_server
 
 echo "== scenario E: backing store truncated under the live mapping"
 SOCK="$WORK/e.sock"
-cp "$WORK/groups.bin.caml" "$WORK/live.bin.caml"
-"$CAML" serve "$WORK/live.bin.caml" --socket "$SOCK" --jobs 1 2>"$WORK/server.err" &
+cp "$WORK/groups.caml" "$WORK/live.caml"
+"$CAML" serve "$WORK/live.caml" --socket "$SOCK" --jobs 1 2>"$WORK/server.err" &
 SERVER_PID=$!
-wait_ready "$SOCK" || fail "binary-store daemon never became ready"
+wait_ready "$SOCK" || fail "live-store daemon never became ready"
 storm_and_compare "$SOCK" 1 "mapped store baseline"
-truncate -s 4096 "$WORK/live.bin.caml"
+truncate -s 4096 "$WORK/live.caml"
 # The in-flight mapping is now unhealthy: the next predict must fail
 # loudly (INTERNAL), never crash the daemon or hand back garbage.
 if "$CAML" query "$WORK/cell.sp" --socket "$SOCK" -o "$WORK/trunc_out" >/dev/null 2>&1; then
@@ -183,7 +182,7 @@ FAULTS="$(stat_of "$SOCK" caml_serve_store_faults_total)"
 [ "$FAULTS" -ge 1 ] || fail "truncated store: expected >= 1 store fault, saw $FAULTS"
 # Restore the bytes: the refresh/reload path (or the now-consistent
 # mapping) must serve byte-identical answers again, within the deadline.
-cp "$WORK/groups.bin.caml" "$WORK/live.bin.caml"
+cp "$WORK/groups.caml" "$WORK/live.caml"
 wait_ready "$SOCK" || fail "daemon unreachable after store restore"
 storm_and_compare "$SOCK" 3 "after store restore"
 echo "   ok: store fault surfaced ($FAULTS counted), recovery byte-identical"

@@ -12,12 +12,13 @@
 #   * corrupt-store rejection — a bit-flipped model store must make
 #     `caml serve` refuse startup with exit code 3 and `caml predict`
 #     fail loudly;
-#   * binary-store publish sweep — SIGKILL at the Nth persistence op and
-#     a torn rename during `caml store --to-binary` must leave the
-#     target byte-identical to the previous complete store;
+#   * model-store publish sweep — SIGKILL at the Nth persistence op and
+#     a torn rename during `caml train -o` must leave the target
+#     byte-identical to the previous complete store;
+#   * old text store — `caml serve` on a `models` (text) container must
+#     refuse startup with exit code 3;
 #   * SIGHUP hot reload — a failed reload (corrupt file on disk) keeps
-#     the daemon serving the old models; a good reload is counted.
-#     Exercised against both the text and the binary (mmap) backend.
+#     the daemon serving the old mapping; a good reload is counted.
 #
 # Exits nonzero on any violation. Pass a different build dir as $1.
 set -eu
@@ -152,57 +153,61 @@ status=0
 grep -q "groups.bad.caml" "$WORK/predict.err" \
   || { echo "FAIL: predict error does not name the corrupt file"; cat "$WORK/predict.err"; exit 1; }
 
-echo "== binary store: kill/torn-rename sweep over 'caml store --to-binary'"
-# The binary writer is deterministic, so after ANY interrupted rewrite
-# the target must be byte-identical to the reference: either the old
-# complete bytes survived or the new (identical) bytes were published.
-"$CAML" store "$WORK/groups.caml" --to-binary "$WORK/groups.bin.caml" >/dev/null
-cp "$WORK/groups.bin.caml" "$WORK/groups.bin.ref"
-"$CAML" store "$WORK/groups.bin.caml" --info >/dev/null \
-  || { echo "FAIL: freshly converted binary store does not validate"; exit 1; }
+echo "== model store: kill/torn-rename sweep over 'caml train -o'"
+# Training and the store writer are deterministic, so after ANY
+# interrupted rewrite the target must be byte-identical to the
+# reference: either the old complete bytes survived or the new
+# (identical) bytes were published.
+train_store() {
+  "$CAML" train "$WORK/small.sp" "$WORK/ref" -o "$WORK/groups.caml" --trees 8
+}
+cp "$WORK/groups.caml" "$WORK/groups.ref"
+"$CAML" store "$WORK/groups.caml" --info >/dev/null \
+  || { echo "FAIL: freshly trained store does not validate"; exit 1; }
 completed_without_kill=0
 for n in $(seq 1 16); do
   status=0
-  CAML_FAULT="store:kill:$n" "$CAML" store "$WORK/groups.caml" \
-    --to-binary "$WORK/groups.bin.caml" >/dev/null 2>&1 || status=$?
+  CAML_FAULT="store:kill:$n" train_store >/dev/null 2>&1 || status=$?
   if [ "$status" = 0 ]; then
     completed_without_kill=1
   elif [ "$status" != 137 ]; then
     echo "FAIL: store kill:$n exited with $status, expected SIGKILL (137)"; exit 1
   fi
-  cmp -s "$WORK/groups.bin.caml" "$WORK/groups.bin.ref" \
-    || { echo "FAIL: torn/partial binary store after kill:$n"; exit 1; }
-  "$CAML" store "$WORK/groups.bin.caml" --info >/dev/null \
-    || { echo "FAIL: binary store does not validate after kill:$n"; exit 1; }
+  cmp -s "$WORK/groups.caml" "$WORK/groups.ref" \
+    || { echo "FAIL: torn/partial model store after kill:$n"; exit 1; }
+  "$CAML" store "$WORK/groups.caml" --info >/dev/null \
+    || { echo "FAIL: model store does not validate after kill:$n"; exit 1; }
   [ "$completed_without_kill" = 1 ] && break
 done
 [ "$completed_without_kill" = 1 ] \
-  || { echo "FAIL: binary-save sweep never ran past the last persistence op"; exit 1; }
+  || { echo "FAIL: store-save sweep never ran past the last persistence op"; exit 1; }
 # SIGKILL legitimately strands staging temps (no destructor runs); clear
 # them so the torn-rename check below only sees files IT leaks.
-rm -f "$WORK"/groups.bin.caml.tmp.*
+rm -f "$WORK"/groups.caml.tmp.*
 status=0
-CAML_FAULT="store:torn-rename:1" "$CAML" store "$WORK/groups.caml" \
-  --to-binary "$WORK/groups.bin.caml" >/dev/null 2>&1 || status=$?
-[ "$status" != 0 ] || { echo "FAIL: torn rename during binary save went unnoticed"; exit 1; }
-cmp -s "$WORK/groups.bin.caml" "$WORK/groups.bin.ref" \
-  || { echo "FAIL: torn rename corrupted the published binary store"; exit 1; }
-ls "$WORK"/groups.bin.caml.tmp.* >/dev/null 2>&1 \
+CAML_FAULT="store:torn-rename:1" train_store >/dev/null 2>&1 || status=$?
+[ "$status" != 0 ] || { echo "FAIL: torn rename during store save went unnoticed"; exit 1; }
+cmp -s "$WORK/groups.caml" "$WORK/groups.ref" \
+  || { echo "FAIL: torn rename corrupted the published model store"; exit 1; }
+ls "$WORK"/groups.caml.tmp.* >/dev/null 2>&1 \
   && { echo "FAIL: torn rename left a staging temp file behind"; exit 1; }
-# Round trip back to text: conversion must be lossless.
-"$CAML" store "$WORK/groups.bin.caml" --to-text "$WORK/groups.rt.caml" >/dev/null
-cmp -s "$WORK/groups.caml" "$WORK/groups.rt.caml" \
-  || { echo "FAIL: text -> binary -> text round trip is not byte-identical"; exit 1; }
-# Corrupt binary store: same startup contract as the text path.
-cp "$WORK/groups.bin.ref" "$WORK/groups.bin.bad"
-corrupt_byte "$WORK/groups.bin.bad"
+
+echo "== old text store is refused"
+# A valid CAMLF1 container of kind "models": the text format older
+# versions of `caml train` wrote.
+python3 - "$WORK/groups.text.caml" <<'PY'
+import sys, zlib
+payload = b"CAMLMODELS groups=0 activity=1 response=1 truthtable=1 kind=0\nENDMODELS\n"
+header = "CAMLF1 models len=%d crc32=%08x\n" % (len(payload), zlib.crc32(payload))
+open(sys.argv[1], "wb").write(header.encode() + payload)
+PY
 status=0
-"$CAML" serve "$WORK/groups.bin.bad" --socket "$WORK/rejectbin.sock" \
-  >/dev/null 2>"$WORK/rejectbin.err" || status=$?
+"$CAML" serve "$WORK/groups.text.caml" --socket "$WORK/rejecttext.sock" \
+  >/dev/null 2>"$WORK/rejecttext.err" || status=$?
 [ "$status" = 3 ] \
-  || { echo "FAIL: serve accepted a corrupt binary store (exit $status, want 3)"; exit 1; }
-grep -q "refusing to serve" "$WORK/rejectbin.err" \
-  || { echo "FAIL: binary rejection is not a structured error"; cat "$WORK/rejectbin.err"; exit 1; }
+  || { echo "FAIL: serve accepted a text store (exit $status, want 3)"; exit 1; }
+grep -q "refusing to serve" "$WORK/rejecttext.err" \
+  || { echo "FAIL: text-store rejection is not a structured error"; cat "$WORK/rejecttext.err"; exit 1; }
 
 echo "== SIGHUP hot reload (failed reload keeps serving, good reload counted)"
 SOCK="$WORK/serve.sock"
@@ -214,9 +219,12 @@ for _ in $(seq 1 50); do
   sleep 0.1
 done
 [ "$ready" = 1 ] || { echo "FAIL: server never answered ping"; cat "$WORK/server.err"; exit 1; }
+grep -q "opened binary model store" "$WORK/server.err" \
+  || { echo "FAIL: server did not open the store via the mmap path"; cat "$WORK/server.err"; exit 1; }
 
-# Corrupt the store on disk, SIGHUP: the reload must fail validation and
-# the daemon must keep answering with the models it already has.
+# Corrupt the mapped store on disk, SIGHUP: the reload must fail
+# validation (before the swap) and the daemon must keep answering with
+# the models it already has.
 corrupt_byte "$WORK/groups.caml"
 kill -HUP "$SERVER_PID"
 sleep 0.5
@@ -225,8 +233,8 @@ sleep 0.5
 grep -q "reload of .* failed" "$WORK/server.err" \
   || { echo "FAIL: failed reload was not logged"; cat "$WORK/server.err"; exit 1; }
 
-# Restore a valid store, SIGHUP again: the swap must be logged/counted.
-"$CAML" train "$WORK/small.sp" "$WORK/ref" -o "$WORK/groups.caml" --trees 8 >/dev/null 2>&1
+# Restore a valid store, SIGHUP again: the re-map must be applied.
+train_store >/dev/null 2>&1
 kill -HUP "$SERVER_PID"
 sleep 0.5
 grep -q "model store reloaded" "$WORK/server.err" \
@@ -238,42 +246,4 @@ SERVER_PID=""
 awk '/reloads/ {v=$2} END {exit (v == 1) ? 0 : 1}' "$WORK/server.err" \
   || { echo "FAIL: stats do not count exactly one successful reload"; cat "$WORK/server.err"; exit 1; }
 
-echo "== SIGHUP hot reload on the binary (mmap) backend"
-cp "$WORK/groups.bin.ref" "$WORK/groups.bin.caml"
-SOCKB="$WORK/servebin.sock"
-"$CAML" serve "$WORK/groups.bin.caml" --socket "$SOCKB" --jobs 2 2>"$WORK/serverbin.err" &
-SERVER_PID=$!
-ready=0
-for _ in $(seq 1 50); do
-  if "$CAML" query --ping --socket "$SOCKB" >/dev/null 2>&1; then ready=1; break; fi
-  sleep 0.1
-done
-[ "$ready" = 1 ] \
-  || { echo "FAIL: binary-store server never answered ping"; cat "$WORK/serverbin.err"; exit 1; }
-grep -q "opened binary model store" "$WORK/serverbin.err" \
-  || { echo "FAIL: server did not open the store via the mmap path"; cat "$WORK/serverbin.err"; exit 1; }
-
-# Corrupt the mapped store on disk, SIGHUP: the daemon must reject the
-# reload (validation happens before the swap) and keep answering.
-corrupt_byte "$WORK/groups.bin.caml"
-kill -HUP "$SERVER_PID"
-sleep 0.5
-"$CAML" query --ping --socket "$SOCKB" >/dev/null 2>&1 \
-  || { echo "FAIL: binary-store daemon stopped serving after a failed reload"; cat "$WORK/serverbin.err"; exit 1; }
-grep -q "reload of .* failed" "$WORK/serverbin.err" \
-  || { echo "FAIL: failed binary reload was not logged"; cat "$WORK/serverbin.err"; exit 1; }
-
-# Restore the good store, SIGHUP again: the re-map must be applied.
-cp "$WORK/groups.bin.ref" "$WORK/groups.bin.caml"
-kill -HUP "$SERVER_PID"
-sleep 0.5
-grep -q "model store reloaded" "$WORK/serverbin.err" \
-  || { echo "FAIL: good binary reload not applied"; cat "$WORK/serverbin.err"; exit 1; }
-
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" || { echo "FAIL: binary-store server exited nonzero"; cat "$WORK/serverbin.err"; exit 1; }
-SERVER_PID=""
-awk '/reloads/ {v=$2} END {exit (v == 1) ? 0 : 1}' "$WORK/serverbin.err" \
-  || { echo "FAIL: binary stats do not count exactly one successful reload"; cat "$WORK/serverbin.err"; exit 1; }
-
-echo "crash-safety check passed (kill sweeps byte-identical, corrupt stores rejected, hot reload safe on both backends)"
+echo "crash-safety check passed (kill sweeps byte-identical, corrupt and text stores rejected, hot reload safe)"

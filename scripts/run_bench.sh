@@ -5,8 +5,8 @@
 #   - bench_parallel_scaling (characterize_library / forest fit),
 #   - bench_serve_throughput (daemon: roundtrip worker sweep plus
 #                             pipelined cross-connection coalescing),
-#   - bench_store_load       (model store: text parse vs. binary mmap
-#                             open, serve cold start per backend),
+#   - bench_store_load       (model store: binary mmap open scaling,
+#                             serve cold start),
 #   - bench_active_budget     (active-learning routing: accuracy vs.
 #                             simulation budget against the structural
 #                             baseline),
@@ -86,10 +86,15 @@ echo "== bench_active_budget =="
 # shellcheck disable=SC2086
 "$BUILD_DIR/bench/bench_active_budget" $ACTIVE_ARGS | tee "$WORK/active.txt"
 
-python3 - "$WORK" "$BUILD_DIR/BENCH_PR6.json" "$QUICK" <<'EOF'
+python3 - "$WORK" "$BUILD_DIR/BENCH_PR6.json" "$QUICK" "$BUILD_DIR/CMakeCache.txt" <<'EOF'
 import json, re, sys
 
 work, out_path, quick = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+# Our CMAKE_BUILD_TYPE, not google-benchmark's library_build_type (which
+# describes how the benchmark library itself was built).
+with open(sys.argv[4]) as f:
+    cache = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", f.read(), re.M)
+build_type = cache.group(1).strip() if cache and cache.group(1).strip() else "unknown"
 
 report = {"quick_mode": quick, "benchmarks": {}}
 
@@ -98,7 +103,7 @@ with open(f"{work}/simulator.json") as f:
     sim = json.load(f)
 report["context"] = {
     "host_cpus": sim["context"]["num_cpus"],
-    "build_type": sim["context"].get("library_build_type", "unknown"),
+    "build_type": build_type,
 }
 sweeps = {}
 for b in sim["benchmarks"]:
@@ -235,15 +240,13 @@ def kv(line):
     return {k: v for k, v in re.findall(r"(\w+)=(\S+)", line)}
 
 report = {"quick_mode": quick, "load": {}, "cold_start_us": {},
-          "identical": "predictions identical across load paths: yes" in store}
+          "identical": "mapped predictions identical to in-memory forests: yes" in store}
 for line in store.splitlines():
     if line.startswith("RESULT load "):
         row = kv(line)
         report["load"][f"scale_{row['scale']}x"] = {
             "nodes_per_tree": int(row["nodes_per_tree"]),
-            "text_bytes": int(row["text_bytes"]),
             "bin_bytes": int(row["bin_bytes"]),
-            "text_load_us": float(row["text_load_us"]),
             "bin_open_full_us": float(row["bin_open_full_us"]),
             "bin_open_map_us": float(row["bin_open_map_us"]),
             "first_answer_us": float(row["first_answer_us"]),
@@ -259,7 +262,7 @@ print(f"wrote {out_path}")
 
 # Gates for the binary store's design claims.
 assert report["identical"], \
-    "mapped and text-loaded stores must predict byte-identically"
+    "mapped stores must predict byte-identically to the in-memory forests"
 rows = report["load"]
 assert "scale_1x" in rows and len(rows) >= 2, f"expected a scale sweep, got {list(rows)}"
 largest = max(rows.values(), key=lambda r: r["nodes_per_tree"])
@@ -271,9 +274,6 @@ assert growth >= 10, f"largest store must be >=10x the base forest, got {growth:
 ratio = largest["bin_open_map_us"] / max(base["bin_open_map_us"], 1.0)
 assert ratio < 5.0, \
     f"map-only open scaled with forest size ({ratio:.1f}x for {growth:.0f}x nodes)"
-# And the mapped open must beat the text parse outright at scale.
-assert largest["bin_open_map_us"] * 10 < largest["text_load_us"], \
-    "binary map-only open should be >=10x faster than text parse at scale"
 EOF
 
 python3 - "$WORK" "$BUILD_DIR/BENCH_PR9.json" "$QUICK" <<'EOF'

@@ -93,8 +93,8 @@ struct ActiveReport {
   /// exactly like the structural baseline simulates unmatched cells.
   std::size_t forced_conventional = 0;
   /// Final per-group forests — the byte-identity witness of the
-  /// determinism contract (save_file yields the same bytes for any
-  /// jobs value and across kill+resume).
+  /// determinism contract (write_binary_store_file yields the same bytes
+  /// for any jobs value and across kill+resume).
   GroupModelStore models;
 };
 

@@ -7,15 +7,11 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <type_traits>
 
-#include "ml/forest_io.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/io.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace caml {
@@ -250,73 +246,6 @@ std::vector<GroupKey> GroupModelStore::group_keys() const {
   keys.reserve(models_.size());
   for (const auto& [key, forest] : models_) keys.push_back(key);
   return keys;
-}
-
-void GroupModelStore::save(std::ostream& os) const {
-  os << "CAMLMODELS groups=" << models_.size() << " activity=" << matrix_.include_activity
-     << " response=" << matrix_.include_response
-     << " truthtable=" << matrix_.include_truth_table
-     << " kind=" << matrix_.include_defect_kind << '\n';
-  for (const auto& [key, forest] : models_) {
-    os << "GROUP " << key.num_inputs << ' ' << key.num_transistors << '\n';
-    write_forest(os, forest, forest.num_features());
-  }
-  os << "ENDMODELS\n";
-}
-
-GroupModelStore GroupModelStore::load(std::istream& in) {
-  GroupModelStore store;
-  std::string line;
-  if (!std::getline(in, line)) throw ParseError("expected CAMLMODELS header", 1);
-  const std::vector<std::string> head = split(line);
-  if (head.size() != 6 || head[0] != "CAMLMODELS") {
-    throw ParseError("bad CAMLMODELS header", 1);
-  }
-  const auto flag = [&](std::size_t i, const char* name) {
-    const std::string prefix = std::string(name) + "=";
-    if (head[i].rfind(prefix, 0) != 0) throw ParseError("bad header field " + head[i], 1);
-    return head[i].substr(prefix.size()) == "1";
-  };
-  if (head[1].rfind("groups=", 0) != 0) throw ParseError("bad header field " + head[1], 1);
-  const std::size_t groups = parse_size(head[1].substr(7), "CAMLMODELS group count", 1);
-  store.matrix_.include_activity = flag(2, "activity");
-  store.matrix_.include_response = flag(3, "response");
-  store.matrix_.include_truth_table = flag(4, "truthtable");
-  store.matrix_.include_defect_kind = flag(5, "kind");
-
-  for (std::size_t g = 0; g < groups; ++g) {
-    if (!std::getline(in, line)) throw ParseError("truncated model store", 0);
-    const std::vector<std::string> tok = split(line);
-    if (tok.size() != 3 || tok[0] != "GROUP") throw ParseError("expected GROUP line", 0);
-    const GroupKey key{parse_size(tok[1], "GROUP input count", 0),
-                       parse_size(tok[2], "GROUP transistor count", 0)};
-    store.models_.emplace(key, read_forest(in).forest);
-  }
-  if (!std::getline(in, line) || trim(line) != "ENDMODELS") {
-    throw ParseError("missing ENDMODELS", 0);
-  }
-  return store;
-}
-
-void GroupModelStore::save_file(const std::string& path) const {
-  // Stream the serialization straight through the checksumming writer:
-  // the CRC accumulates per chunk, so saving never doubles peak RSS by
-  // buffering the whole text first.
-  io::ChecksummedFileWriter writer(path, "models", "store");
-  save(writer.stream());
-  writer.commit();
-}
-
-GroupModelStore GroupModelStore::load_file(const std::string& path) {
-  std::istringstream payload(io::read_checksummed_file(path, "models"));
-  try {
-    return load(payload);
-  } catch (const ParseError& e) {
-    // The container CRC already vouched for the bytes, so a parse
-    // failure here means a writer bug or a crafted file — either way,
-    // name the file.
-    throw ParseError::in_file(path, e);
-  }
 }
 
 }  // namespace caml

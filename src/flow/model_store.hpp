@@ -1,8 +1,6 @@
 #pragma once
 
-#include <istream>
 #include <map>
-#include <ostream>
 
 #include "flow/ml_flow.hpp"
 
@@ -11,10 +9,11 @@ namespace caml {
 /// Read-side contract every trained-model store satisfies: a classifier
 /// per (inputs, transistors) group plus the CA-matrix options the
 /// classifiers were trained with — everything the predict side needs.
-/// Two implementations exist: the in-memory GroupModelStore below
-/// (training + text interchange) and store::MappedModelStore (zero-copy
-/// mmap over the binary CAMLF1 section). The serve plane and the CLI
-/// program against this interface so either backs a daemon.
+/// Two implementations exist, one per input: the in-memory
+/// GroupModelStore below (the output of training) and
+/// store::MappedModelStore (zero-copy mmap over a store file, the binary
+/// CAMLF1 section). The serve plane, the flows and the CLI program
+/// against this interface.
 ///
 /// Thread safety contract (all implementations): every method is const
 /// and safe to call concurrently on a shared store — no lazy caching,
@@ -50,11 +49,10 @@ class ModelStore {
 };
 
 /// A trained Random Forest per (inputs, transistors) group, plus the
-/// CA-matrix options the forests were trained with. Serializable, so the
-/// expensive training pass runs once (e.g. via the `caml train` CLI) and
-/// predictions for new cells run anywhere. Text is the interchange
-/// format; `caml store --to-binary` converts to the mmap-able binary
-/// section (src/store) for parse-free serving.
+/// CA-matrix options the forests were trained with. The expensive
+/// training pass runs once (e.g. via the `caml train` CLI), which writes
+/// the store with store::write_binary_store_file; predictions for new
+/// cells then run anywhere from the mapped file (store::MappedModelStore).
 class GroupModelStore final : public ModelStore {
  public:
   /// Trains one forest per group of the training corpus. Groups with a
@@ -67,9 +65,8 @@ class GroupModelStore final : public ModelStore {
   static GroupModelStore train(const std::vector<CharacterizedCell>& training,
                                const MlOptions& options);
 
-  /// Rebuilds a store from already-loaded forests — the import path the
-  /// binary reader (store::MappedModelStore::materialize) shares with
-  /// any future loader.
+  /// Builds a store from forests trained outside train(): the active
+  /// flow's warm-started forests and synthetic benchmark stores.
   static GroupModelStore assemble(std::map<GroupKey, RandomForest> models,
                                   const MatrixOptions& matrix);
 
@@ -83,29 +80,11 @@ class GroupModelStore final : public ModelStore {
   /// predict signature.
   const Classifier* classifier_for(const GroupKey& key) const override;
 
-  /// Concrete per-group forest (the export side of the binary writer,
-  /// which needs tree node records, not just a Classifier). nullptr for
-  /// untrained groups.
+  /// Concrete per-group forest (the binary writer needs tree node
+  /// records, not just a Classifier). nullptr for untrained groups.
   const RandomForest* forest_for(const GroupKey& key) const;
   /// Every trained group key in sorted order.
   std::vector<GroupKey> group_keys() const;
-
-  /// Text serialization.
-  void save(std::ostream& os) const;
-  static GroupModelStore load(std::istream& in);
-
-  /// Durable file persistence: the store text wrapped in a checksummed
-  /// CAMLF1 container (kind "models") and published atomically — a
-  /// crash mid-save leaves the previous file intact, and a truncated or
-  /// bit-flipped file fails load_file with a ParseError naming the file
-  /// and offset instead of loading garbage. An unframed file is rejected
-  /// the same way; only `.camodel` files may be unframed. load_file also
-  /// runs find_forest_defect on every forest, so a store whose CRC is
-  /// valid but whose trees cycle or index past a row never loads. The
-  /// save streams through io::ChecksummedFileWriter, so peak memory stays
-  /// O(chunk) instead of 2-3x the serialized size.
-  void save_file(const std::string& path) const;
-  static GroupModelStore load_file(const std::string& path);
 
  private:
   std::map<GroupKey, RandomForest> models_;

@@ -268,7 +268,7 @@ void TreeEnsemble::sweep_trees(const std::vector<TreeRef>& trees, Vote vote,
   const std::size_t n = grid.rows();
   const double count = static_cast<double>(trees.size());
   if (vote == Vote::kSoft) {
-    // A leaf with no recorded votes (possible in loaded forests) casts a
+    // A leaf with no recorded votes (possible in a mapped store) casts a
     // neutral 0.5 instead of poisoning the average with 0/0 = NaN.
     accumulate_votes(trees, grid, out, scratch, [](std::uint64_t c0, std::uint64_t c1) {
       const std::uint64_t votes = c0 + c1;
@@ -327,7 +327,7 @@ std::vector<double> RandomForest::feature_importance() const {
   std::size_t contributing = 0;
   for (const DecisionTree& tree : trees_) {
     const std::vector<double>& imp = tree.feature_importance();
-    if (imp.size() != out.size()) continue;  // e.g. loaded trees
+    if (imp.size() != out.size()) continue;  // e.g. trees from from_image
     ++contributing;
     for (std::size_t f = 0; f < out.size(); ++f) out[f] += imp[f];
   }

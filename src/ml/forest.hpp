@@ -180,16 +180,17 @@ class RandomForest : public TreeEnsemble {
 
   const std::vector<DecisionTree>& trees() const { return trees_; }
 
-  /// Rebuilds a forest from already-constructed trees — the import path
-  /// of every loader (text and binary stores). Validates the result with
-  /// find_forest_defect and throws caml::ParseError naming the defect.
+  /// Builds a forest from trees made by DecisionTree::from_image — how
+  /// bench_store_load makes synthetic stores of exact node counts.
+  /// Validates the result with find_forest_defect and throws
+  /// caml::ParseError naming the defect.
   static RandomForest assemble(std::vector<DecisionTree> trees, std::size_t num_features);
 
   /// Feature count seen at fit time (0 before fit).
   std::size_t num_features() const { return num_features_; }
 
   /// Mean Gini importance per feature across the trees (normalized to
-  /// sum 1; empty before fit or after load).
+  /// sum 1; empty before fit or for trees built by from_image).
   std::vector<double> feature_importance() const;
 
  protected:

@@ -1,16 +1,16 @@
 #pragma once
 
-#include <istream>
 #include <ostream>
-#include <string>
 
 #include "ml/forest.hpp"
 
 namespace caml {
 
-/// Text serialization of a trained Random Forest, so a group model can
-/// be trained once and reused across runs (the CLI's train/predict
-/// split). Format:
+/// Text dump of a trained Random Forest: the reference rendering behind
+/// tests/golden/forest_ref.golden, kernel_identity_test and the --jobs
+/// determinism checks, which compare forests node for node. Nothing
+/// reads it back; trained models persist as the binary store section
+/// (store/binary_store.hpp). Format:
 ///
 ///   FOREST trees=<n> features=<f>
 ///   TREE nodes=<k>
@@ -18,24 +18,5 @@ namespace caml {
 ///   ...
 ///   ENDFOREST
 void write_forest(std::ostream& os, const RandomForest& forest, std::size_t num_features);
-
-/// Reads a forest written by write_forest. Returns the forest and the
-/// feature count it was trained with. Throws caml::ParseError on
-/// malformed input, including any structural defect find_forest_defect
-/// reports (cycles, out-of-range children or features, no trees).
-struct LoadedForest {
-  RandomForest forest;
-  std::size_t num_features = 0;
-};
-LoadedForest read_forest(std::istream& in);
-
-/// Durable single-forest file: the write_forest text wrapped in a
-/// checksummed CAMLF1 container (kind "forest") and published
-/// atomically. read_forest_file rejects truncated or bit-flipped files
-/// with a ParseError naming the file and offset, and so does an unframed
-/// file: forest files have been framed since the container existed.
-void write_forest_file(const std::string& path, const RandomForest& forest,
-                       std::size_t num_features);
-LoadedForest read_forest_file(const std::string& path);
 
 }  // namespace caml

@@ -8,7 +8,7 @@ namespace caml {
 /// side of the binary model store. Each tree is a TreeRef into one
 /// read-only mapping; inference walks it in place, no parse, no copy, no
 /// ownership, through the same TreeEnsemble sweeps RandomForest uses, so
-/// a mapped store and a text-loaded store answer byte-identically.
+/// a mapped store and the trained store answer byte-identically.
 ///
 /// Lifetime: the spans must outlive the view (MappedModelStore keeps the
 /// mapping alive). Thread safety: predict is const over immutable bytes,

@@ -143,19 +143,20 @@ class DecisionTree : public Classifier {
   /// This tree's image. Valid until the tree is modified or destroyed.
   TreeRef ref() const;
 
-  /// Copies a tree image into an owning tree — the import path of the
-  /// binary store and of synthetic trees. Does not validate: the caller
-  /// assembles the result through RandomForest::assemble, which does.
+  /// Copies a tree image into an owning tree. bench_store_load builds
+  /// its synthetic stores of exact node counts this way; nothing else
+  /// needs an owning tree that was not fitted. Does not validate: the
+  /// caller assembles the result through RandomForest::assemble, which
+  /// does.
   static DecisionTree from_image(const TreeRef& image);
 
-  /// Text node lines used by the forest I/O (ml/forest_io.hpp). load
-  /// checks only the syntax; read_forest validates the structure.
+  /// Text node lines of write_forest (ml/forest_io.hpp), the reference
+  /// dump the golden and determinism tests compare.
   void save(std::ostream& os) const;
-  static DecisionTree load(std::istream& in, std::size_t& line_no);
 
   /// Gini importance per feature (weighted impurity decrease summed over
   /// this tree's splits, normalized to sum 1; all-zero when the tree is
-  /// a single leaf or was loaded from disk).
+  /// a single leaf or was built by from_image).
   const std::vector<double>& feature_importance() const { return importance_; }
 
  private:

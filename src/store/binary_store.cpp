@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <map>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -159,16 +157,6 @@ void write_binary_store_file(const std::string& path, const GroupModelStore& sto
   }
   writer.commit();  // flushes the tail chunk, then publishes
   CAML_ASSERT(writer.bytes_written() == payload_size);
-}
-
-bool is_binary_store_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  const std::string want =
-      std::string(io::kContainerMagic) + " " + std::string(kBinaryStoreKind) + " ";
-  std::string head(want.size(), '\0');
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return static_cast<std::size_t>(in.gcount()) == want.size() && head == want;
 }
 
 namespace {
@@ -415,32 +403,11 @@ const Classifier* MappedModelStore::classifier_for(const GroupKey& key) const {
   return &forests_[static_cast<std::size_t>(it - keys_.begin())];
 }
 
-GroupModelStore MappedModelStore::materialize() const {
-  std::map<GroupKey, RandomForest> models;
-  for (std::size_t g = 0; g < keys_.size(); ++g) {
-    const MappedForest& view = forests_[g];
-    std::vector<DecisionTree> trees;
-    trees.reserve(view.num_trees());
-    for (std::size_t t = 0; t < view.num_trees(); ++t) {
-      trees.push_back(DecisionTree::from_image(view.tree(t)));
-    }
-    try {
-      models.emplace(keys_[g], RandomForest::assemble(std::move(trees), view.num_features()));
-    } catch (const ParseError& e) {
-      throw ParseError::in_file(path_, e);
-    }
-  }
-  return GroupModelStore::assemble(std::move(models), matrix_);
-}
-
-std::shared_ptr<const ModelStore> open_model_store(const std::string& path) {
-  if (is_binary_store_file(path)) {
-    auto store = std::make_shared<MappedModelStore>(MappedModelStore::open(path));
-    log_info() << "opened binary model store " << path << " (" << store->num_groups()
-               << " groups, " << store->bytes_mapped() << " bytes mapped)";
-    return store;
-  }
-  return std::make_shared<GroupModelStore>(GroupModelStore::load_file(path));
+std::shared_ptr<const MappedModelStore> open_model_store(const std::string& path) {
+  auto store = std::make_shared<const MappedModelStore>(MappedModelStore::open(path));
+  log_info() << "opened binary model store " << path << " (" << store->num_groups()
+             << " groups, " << store->bytes_mapped() << " bytes mapped)";
+  return store;
 }
 
 }  // namespace caml::store

@@ -11,13 +11,14 @@
 
 namespace caml::store {
 
-/// Binary model-store section: a CAMLF1 container of kind "models.bin"
-/// whose payload is a fixed-layout, offset-indexed binary image of a
-/// GroupModelStore. The layout is designed for zero-parse mmap serving:
-/// a 64-byte header, a sorted group-key index table, then per-group
-/// forest sections that are the trees' in-memory images byte for byte
-/// (16-byte TreeNode records plus leaf-count arrays) — MappedModelStore
-/// walks trees directly over the mapping.
+/// Binary model-store section, the one model-store file format: a
+/// CAMLF1 container of kind "models.bin" whose payload is a
+/// fixed-layout, offset-indexed binary image of a GroupModelStore. The
+/// layout is designed for zero-parse mmap serving: a 64-byte header, a
+/// sorted group-key index table, then per-group forest sections that are
+/// the trees' in-memory images byte for byte (16-byte TreeNode records
+/// plus leaf-count arrays) — MappedModelStore walks trees directly over
+/// the mapping.
 ///
 /// Payload layout (all integers native little-endian, offsets relative
 /// to the payload start; every field is read through memcpy so the
@@ -63,29 +64,28 @@ inline constexpr std::size_t kBinHeaderBytes = 64;
 inline constexpr std::size_t kIndexEntryBytes = 32;
 inline constexpr std::size_t kTreeHeaderBytes = 16;
 
-/// Converts `store` to the binary section and publishes it atomically at
-/// `path` (streaming writer, fault point "store" — same crash-safety
-/// guarantees as the text save). Throws caml::Error on I/O failure.
+/// Writes `store` as the binary section and publishes it atomically at
+/// `path` (streaming writer: staging file, fsync, rename; fault point
+/// "store"). The bytes depend only on the forests and matrix options, so
+/// `caml train -o` writes the same file for any --jobs value. Throws
+/// caml::Error on I/O failure.
 void write_binary_store_file(const std::string& path, const GroupModelStore& store);
-
-/// True when the file starts with a CAMLF1 "models.bin" container
-/// header — the sniff `open_model_store` and the CLI use to pick the
-/// binary or the text loader. False for missing/short files.
-bool is_binary_store_file(const std::string& path);
 
 /// Read-only model store over a memory-mapped binary section: open cost
 /// is O(header + index + one header per tree), independent of forest
 /// node counts, and predictions traverse the packed node arrays in
 /// place — zero parse, zero copy. Implements the same ModelStore
-/// contract as GroupModelStore and answers bit-identically (enforced by
-/// tests/store_test.cpp).
+/// contract as GroupModelStore and answers bit-identically to the store
+/// it was written from (enforced by tests/store_test.cpp).
 class MappedModelStore final : public ModelStore {
  public:
   /// kFull (default, used by serve and the CLI) additionally checks the
   /// container CRC, the data-section CRC and every forest through
-  /// find_forest_defect (ml/forest.hpp), the validator the text loader
-  /// runs too — a corrupt or adversarial file fails with a ParseError
-  /// naming the file and byte offset, never UB.
+  /// find_forest_defect (ml/forest.hpp) — a corrupt or adversarial file
+  /// fails with a ParseError naming the file and byte offset, never UB.
+  /// Any other container kind (such as a `models` text store written by
+  /// an older `caml train`) fails with a ParseError naming the file and
+  /// the kind it found.
   /// kMapOnly skips the O(payload) work and trusts the index CRC plus
   /// section-bounds walk; it exists so bench_store_load can demonstrate
   /// the size-independent open cost.
@@ -125,13 +125,6 @@ class MappedModelStore final : public ModelStore {
   std::size_t bytes_mapped() const { return file_.size(); }
   const std::string& path() const { return path_; }
 
-  /// Copies the mapped forests back into an owning GroupModelStore (the
-  /// `caml store --to-text` conversion path). Tree images are copied
-  /// verbatim and validated by RandomForest::assemble (so a kMapOnly
-  /// store is checked here), and the result round-trips through the text
-  /// format byte-identically. Throws caml::ParseError naming the file.
-  GroupModelStore materialize() const;
-
  private:
   MappedModelStore() = default;
 
@@ -143,11 +136,9 @@ class MappedModelStore final : public ModelStore {
   std::vector<GroupInfo> infos_;
 };
 
-/// Opens `path` as whichever store format it holds: the mmap-backed
-/// binary store when the container kind is "models.bin" (verified kFull),
-/// otherwise the framed text loader. This is the
-/// single entry point `caml serve` / `caml predict` load through, so a
-/// daemon prefers the binary store automatically.
-std::shared_ptr<const ModelStore> open_model_store(const std::string& path);
+/// MappedModelStore::open (kFull) plus an INFO log line: the entry point
+/// `caml serve` (startup, SIGHUP, fault refresh) and `caml predict` load
+/// through.
+std::shared_ptr<const MappedModelStore> open_model_store(const std::string& path);
 
 }  // namespace caml::store

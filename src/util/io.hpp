@@ -117,8 +117,8 @@ class MappedFile {
 ///   CAMLF1 <kind> len=<payload-bytes> crc32=<8-hex-digits>\n
 ///   <payload>
 ///
-/// `kind` tags the payload type ("models", "camodel", "forest",
-/// "journal") so loading the wrong artifact into a parser fails loud,
+/// `kind` tags the payload type ("models.bin", "camodel", "journal") so
+/// loading the wrong artifact into a parser fails loud,
 /// and the CRC turns silent truncation or bit rot into a ParseError
 /// naming the file and byte offset instead of garbage models.
 inline constexpr std::string_view kContainerMagic = "CAMLF1";
@@ -158,9 +158,7 @@ class ChecksummedFileWriter {
   ChecksummedFileWriter(const ChecksummedFileWriter&) = delete;
   ChecksummedFileWriter& operator=(const ChecksummedFileWriter&) = delete;
 
-  /// Payload stream; bytes are chunk-flushed to the staging file.
-  std::ostream& stream() { return out_; }
-  /// Raw payload bytes (the binary-store writer path).
+  /// Appends payload bytes; they are chunk-flushed to the staging file.
   void write(const void* data, std::size_t n);
   /// Payload bytes flushed to the staging file so far; the final total
   /// (chunks may still be buffered) only after commit().
@@ -195,8 +193,7 @@ std::string read_checksummed_file(const std::string& path, std::string_view kind
 /// an unframed artifact (returned verbatim, unvalidated). Only `.camodel`
 /// files load through here: `caml predict` and `caml query` write raw
 /// `.camodel` text that `caml train` and `caml patterns` read back.
-/// Model stores and forest files are always framed and load through
-/// read_checksummed_file.
+/// Everything else is always framed.
 std::string read_checksummed_or_raw(const std::string& path, std::string_view kind);
 
 }  // namespace caml::io

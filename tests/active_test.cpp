@@ -15,6 +15,7 @@
 #include "active/learner.hpp"
 #include "libgen/technology.hpp"
 #include "ml/forest.hpp"
+#include "store/binary_store.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -335,8 +336,8 @@ TEST(ActiveFlow, JournalsAndModelsIdenticalAcrossJobCounts) {
 
   const std::string store1 = dir1 + "/models.caml";
   const std::string store4 = dir4 + "/models.caml";
-  serial.models.save_file(store1);
-  threaded.models.save_file(store4);
+  store::write_binary_store_file(store1, serial.models);
+  store::write_binary_store_file(store4, threaded.models);
   EXPECT_EQ(slurp(store1), slurp(store4))
       << "final model stores must be byte-identical across job counts";
 
@@ -374,8 +375,8 @@ TEST(ActiveFlow, ResumedRunEqualsUninterrupted) {
 
   const std::string full_store = full_dir + "/models.caml";
   const std::string cut_store = cut_dir + "/models.caml";
-  full.models.save_file(full_store);
-  resumed.models.save_file(cut_store);
+  store::write_binary_store_file(full_store, full.models);
+  store::write_binary_store_file(cut_store, resumed.models);
   EXPECT_EQ(slurp(full_store), slurp(cut_store))
       << "resumed model store must equal the uninterrupted run's";
 
@@ -396,8 +397,8 @@ TEST(ActiveFlow, FullRefitFallbackStaysDeterministic) {
   const active::ActiveReport a = run(1);
   const active::ActiveReport b = run(4);
   const std::string dir = temp_dir("refit");
-  a.models.save_file(dir + "/a.caml");
-  b.models.save_file(dir + "/b.caml");
+  store::write_binary_store_file(dir + "/a.caml", a.models);
+  store::write_binary_store_file(dir + "/b.caml", b.models);
   EXPECT_EQ(slurp(dir + "/a.caml"), slurp(dir + "/b.caml"));
   EXPECT_EQ(a.acquired_mask, b.acquired_mask);
 }

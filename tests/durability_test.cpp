@@ -18,7 +18,7 @@
 #include "flow/hybrid.hpp"
 #include "flow/model_store.hpp"
 #include "ml/forest.hpp"
-#include "ml/forest_io.hpp"
+#include "store/binary_store.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -158,61 +158,30 @@ TEST(DurableArtifacts, ModelStoreFileRoundTripAndCorruptionRejected) {
 
   const std::string dir = temp_dir("store");
   const std::string path = dir + "/models.caml";
-  store.save_file(path);
+  store::write_binary_store_file(path, store);
+  EXPECT_EQ(store::MappedModelStore::open(path).num_groups(), store.num_groups());
+  const std::string framed = slurp(path);
 
-  const GroupModelStore loaded = GroupModelStore::load_file(path);
-  EXPECT_EQ(loaded.num_groups(), store.num_groups());
-
-  // An unframed store is rejected like a corrupt one: only .camodel
-  // files may be unframed.
-  std::ostringstream text;
-  store.save(text);
+  const auto expect_rejected_naming = [](const std::string& victim, const char* what) {
+    try {
+      store::MappedModelStore::open(victim);
+      ADD_FAILURE() << "expected ParseError for " << what;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(victim), std::string::npos) << e.what();
+    }
+  };
+  // An unframed store (the payload without its container header) is
+  // rejected like a corrupt one: only .camodel files may be unframed.
   const std::string unframed = dir + "/unframed.caml";
-  io::write_file_atomic(unframed, text.str());
-  try {
-    GroupModelStore::load_file(unframed);
-    FAIL() << "expected ParseError for an unframed store";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find(unframed), std::string::npos) << e.what();
-  }
+  io::write_file_atomic(unframed, framed.substr(framed.find('\n') + 1));
+  expect_rejected_naming(unframed, "an unframed store");
 
   // A flipped payload byte fails loud with the file named in the error.
   flip_tail_byte(path);
-  try {
-    GroupModelStore::load_file(path);
-    FAIL() << "expected ParseError for corrupt store";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
-  }
+  expect_rejected_naming(path, "a corrupt store");
   // Truncation (the classic partial-copy failure) is rejected too.
-  io::write_checksummed_file(path, "models", text.str());
-  std::string framed = slurp(path);
-  framed.resize(framed.size() / 2);
-  io::write_file_atomic(path, framed);
-  EXPECT_THROW(GroupModelStore::load_file(path), ParseError);
-}
-
-TEST(DurableArtifacts, ForestFileRoundTripAndCorruptionRejected) {
-  // A forest trained on a tiny synthetic dataset round-trips through the
-  // framed file and refuses a flipped byte.
-  Dataset data(2);
-  for (int i = 0; i < 8; ++i) {
-    const std::int8_t row[2] = {static_cast<std::int8_t>(i & 1),
-                                static_cast<std::int8_t>((i >> 1) & 1)};
-    data.add_row(row, static_cast<std::uint8_t>(i & 1));
-  }
-  ForestParams params;
-  params.num_trees = 3;
-  RandomForest forest(params);
-  forest.fit(data);
-
-  const std::string path = temp_dir("forest") + "/group.forest";
-  write_forest_file(path, forest, data.num_features());
-  const LoadedForest back = read_forest_file(path);
-  EXPECT_EQ(back.num_features, data.num_features());
-
-  flip_tail_byte(path);
-  EXPECT_THROW(read_forest_file(path), ParseError);
+  io::write_file_atomic(path, framed.substr(0, framed.size() / 2));
+  expect_rejected_naming(path, "a truncated store");
 }
 
 TEST(DurableArtifacts, CaModelFileRoundTripFramedAndLegacy) {

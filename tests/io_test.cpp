@@ -147,13 +147,13 @@ TEST(IoStreamingWriter, MatchesBufferedFramingAndSurvivesLargePayloads) {
   const std::string streamed_path = dir + "/streamed.caml";
 
   // A payload larger than the writer's 64 KiB chunk, fed in mixed-size
-  // pieces through both the ostream and the raw-write entry points.
+  // pieces.
   std::string payload;
   payload.reserve(300 * 1024);
   for (int i = 0; i < 12000; ++i) payload += "row " + std::to_string(i * 7) + "\n";
 
   io::ChecksummedFileWriter writer(streamed_path, "models");
-  writer.stream() << payload.substr(0, 100);
+  writer.write(payload.data(), 100);
   writer.write(payload.data() + 100, payload.size() - 100);
   writer.commit();
   EXPECT_EQ(writer.bytes_written(), payload.size());
@@ -177,7 +177,7 @@ TEST(IoStreamingWriter, AbandonedWriterLeavesNoFile) {
   const std::string path = dir + "/never.caml";
   {
     io::ChecksummedFileWriter writer(path, "models");
-    writer.stream() << "half a payload";
+    writer.write("half a payload", 14);
     // No commit: destructor must clean the staging file.
   }
   EXPECT_FALSE(fs::exists(path));

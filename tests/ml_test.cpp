@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ml/dataset.hpp"
 #include "ml/forest.hpp"
-#include "ml/forest_io.hpp"
+#include "ml/forest_view.hpp"
 #include "ml/knn.hpp"
 #include "ml/linear.hpp"
 #include "ml/metrics.hpp"
@@ -177,19 +176,22 @@ TEST(RandomForest, DeterministicForSeed) {
 }
 
 TEST(RandomForest, EmptyLeafVotesAreNeutralNotNaN) {
-  // A leaf with zero recorded votes (possible in forests loaded from
-  // sparse files) used to contribute 0/0 = NaN, silently poisoning the
-  // whole probability average; it must count as a neutral 0.5 instead.
-  std::istringstream in(
-      "FOREST trees=2 features=1\n"
-      "TREE nodes=1\n"
-      "-1 -1 0 0 0 0\n"
-      "TREE nodes=1\n"
-      "-1 -1 0 0 1 3\n"
-      "ENDFOREST\n");
-  const LoadedForest loaded = read_forest(in);
+  // A leaf with zero recorded votes (a binary store may hold one) used to
+  // contribute 0/0 = NaN, silently poisoning the whole probability
+  // average; it must count as a neutral 0.5 instead. Two one-leaf tree
+  // images, walked in place as a mapped store walks them: votes {0, 0}
+  // and {1, 3}.
+  const TreeNode leaf;
+  const std::uint64_t count0[2] = {0, 1};
+  const std::uint64_t count1[2] = {0, 3};
+  const auto bytes = [](const void* p) { return static_cast<const unsigned char*>(p); };
+  const std::vector<TreeRef> trees = {
+      TreeRef{bytes(&leaf), bytes(&count0[0]), bytes(&count1[0]), 1},
+      TreeRef{bytes(&leaf), bytes(&count0[1]), bytes(&count1[1]), 1}};
+  ASSERT_FALSE(find_forest_defect(trees, 1).has_value());
+  const MappedForest forest(trees, 1);
   const std::int8_t row[] = {0};
-  const double p = loaded.forest.predict_proba(row);
+  const double p = forest.predict_proba(row);
   EXPECT_FALSE(std::isnan(p));
   EXPECT_DOUBLE_EQ(p, (0.5 + 0.75) / 2.0);
 }

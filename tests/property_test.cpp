@@ -11,6 +11,7 @@
 #include "netlist/spice_parser.hpp"
 #include "netlist/spice_writer.hpp"
 #include "sim/evaluator.hpp"
+#include "store/binary_store.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -160,9 +161,7 @@ TEST(ModelStoreProperty, CrossTechnologyPredictionThroughStore) {
   options.forest.num_trees = 8;
   GroupModelStore store = GroupModelStore::train(training, options);
 
-  std::stringstream buffer;
-  store.save(buffer);
-  const GroupModelStore loaded = GroupModelStore::load(buffer);
+  const store::MappedModelStore loaded = testing::write_and_map(store, "crosstech");
 
   const CharacterizedCell target = testing::characterize(
       testing::build_function("OAI21", c40, {1, StructureVariant::kWide}, 9), c40);

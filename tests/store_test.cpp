@@ -1,10 +1,10 @@
-// Binary model-store tests: text <-> binary round-trip identity,
-// byte-identical predictions across text-loaded / materialized /
-// mmap-backed stores (serial and parallel), adversarial inputs
-// (truncation, flipped bytes, out-of-bounds sections, crafted nodes in
-// binary and text stores — every case a ParseError naming the file,
-// never UB; run the suite under -DCAML_SANITIZE for the memory-safety
-// proof), and serve end-to-end on a mapped store.
+// Binary model-store tests: byte-identical predictions between the
+// trained in-memory store and the mmap-backed store (serial and
+// parallel), adversarial inputs (truncation, flipped bytes,
+// out-of-bounds sections, crafted nodes, a container of another kind —
+// every case a ParseError naming the file, never UB; run the suite
+// under -DCAML_SANITIZE for the memory-safety proof), and serve
+// end-to-end on a mapped store.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -39,7 +39,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-using store::is_binary_store_file;
 using store::MappedModelStore;
 using store::open_model_store;
 using store::write_binary_store_file;
@@ -118,23 +117,7 @@ std::string hexfloat_probas(const std::vector<double>& probas) {
 }
 
 // ---------------------------------------------------------------------------
-// Round-trip identity
-
-TEST(BinaryStore, TextBinaryTextRoundTripIsByteIdentical) {
-  const std::string dir = temp_dir("roundtrip");
-  const std::string text1 = dir + "/models.caml";
-  const std::string binary = dir + "/models.bin.caml";
-  const std::string text2 = dir + "/models2.caml";
-
-  shared_store().save_file(text1);
-  write_binary_store_file(binary, GroupModelStore::load_file(text1));
-  ASSERT_TRUE(is_binary_store_file(binary));
-  ASSERT_FALSE(is_binary_store_file(text1));
-  MappedModelStore::open(binary).materialize().save_file(text2);
-
-  EXPECT_EQ(slurp(text1), slurp(text2))
-      << "text -> binary -> text must be byte-identical";
-}
+// Mapped open
 
 TEST(BinaryStore, MappedStoreReportsSections) {
   const MappedModelStore mapped = MappedModelStore::open(shared_binary_path());
@@ -158,7 +141,6 @@ TEST(BinaryStore, MappedStoreReportsSections) {
 
 TEST(BinaryStore, HexfloatProbasIdenticalAcrossAllStoreBackends) {
   const MappedModelStore mapped = MappedModelStore::open(shared_binary_path());
-  const GroupModelStore materialized = mapped.materialize();
   for (const GroupKey& key : shared_store().group_keys()) {
     const RandomForest* trained = shared_store().forest_for(key);
     ASSERT_NE(trained, nullptr);
@@ -168,18 +150,12 @@ TEST(BinaryStore, HexfloatProbasIdenticalAcrossAllStoreBackends) {
 
     const auto* view = dynamic_cast<const MappedForest*>(mapped.classifier_for(key));
     ASSERT_NE(view, nullptr);
-    const auto* rebuilt =
-        dynamic_cast<const RandomForest*>(materialized.classifier_for(key));
-    ASSERT_NE(rebuilt, nullptr);
 
     const std::string expected =
         hexfloat_probas(trained->predict_proba_batch(rows.data(), n, features));
     EXPECT_EQ(hexfloat_probas(view->predict_proba_batch(rows.data(), n, features)),
               expected)
         << "mmap-backed probabilities must match the trained forest to the last bit";
-    EXPECT_EQ(hexfloat_probas(rebuilt->predict_proba_batch(rows.data(), n, features)),
-              expected)
-        << "materialized probabilities must match the trained forest to the last bit";
     // Per-row entry point agrees with the batched one.
     for (std::size_t r = 0; r < 5; ++r) {
       EXPECT_EQ(view->predict_proba(rows.data() + r * features),
@@ -269,9 +245,7 @@ TEST(BinaryStore, HexfloatProbaAndMarginParityAcrossJobCounts) {
 }
 
 TEST(BinaryStore, PredictedModelsIdenticalAcrossBackendsAndJobCounts) {
-  const std::shared_ptr<const ModelStore> opened = open_model_store(shared_binary_path());
-  ASSERT_NE(dynamic_cast<const MappedModelStore*>(opened.get()), nullptr)
-      << "open_model_store must pick the mmap path for a binary store";
+  const std::shared_ptr<const MappedModelStore> opened = open_model_store(shared_binary_path());
 
   const Technology tech = technology_28soi();
   std::vector<Cell> targets;
@@ -292,8 +266,6 @@ TEST(BinaryStore, PredictedModelsIdenticalAcrossBackendsAndJobCounts) {
   const std::vector<std::string> expected = predict_all(shared_store(), 1);
   EXPECT_EQ(predict_all(*opened, 1), expected);
   EXPECT_EQ(predict_all(*opened, 4), expected);
-  EXPECT_EQ(predict_all(MappedModelStore::open(shared_binary_path()).materialize(), 4),
-            expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -549,6 +521,26 @@ TEST_F(CraftedStore, RejectsMalformedNodes) {
     std::memcpy(p.data() + nodes_at + 8, &bogus, 2);
     expect_crafted_rejected(std::move(p), "feature_out_of_range");
   }
+  {  // Root's feature index one past the group's feature count.
+    std::string p = payload_;
+    std::uint32_t features = 0;
+    std::memcpy(&features, p.data() + store::kBinHeaderBytes + 28, 4);
+    const std::uint16_t bogus = static_cast<std::uint16_t>(features);
+    std::memcpy(p.data() + nodes_at + 8, &bogus, 2);
+    expect_crafted_rejected(std::move(p), "feature_at_count");
+  }
+  {  // Index entry: a forest with zero trees.
+    std::string p = payload_;
+    const std::uint32_t zero = 0;
+    std::memcpy(p.data() + store::kBinHeaderBytes + 24, &zero, 4);
+    expect_crafted_rejected(std::move(p), "zero_trees");
+  }
+  {  // Tree header: a tree with zero nodes.
+    std::string p = payload_;
+    const std::uint64_t zero = 0;
+    std::memcpy(p.data() + data_offset, &zero, 8);
+    expect_crafted_rejected(std::move(p), "zero_nodes");
+  }
   {  // Version bump is rejected, not misparsed.
     std::string p = payload_;
     const std::uint32_t v2 = 2;
@@ -563,84 +555,25 @@ TEST_F(CraftedStore, RejectsMalformedNodes) {
   }
 }
 
-TEST(TextStore, RejectsMalformedNodes) {
-  // The text loader runs the binary reader's structural validator: a
-  // framed store with a valid CRC but a cyclic, out-of-range or
-  // feature-overflowing node, or a treeless forest, never loads. None of
-  // the cases walks a tree, so a regression fails instead of hanging.
-  std::ostringstream saved;
-  shared_store().save(saved);
-  std::vector<std::string> lines;
-  {
-    std::istringstream in(saved.str());
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-  }
-  // Line 2 is the first FOREST header, line 3 the first TREE header and
-  // line 4 that tree's root.
-  ASSERT_EQ(lines.at(2).rfind("FOREST trees=", 0), 0u) << lines.at(2);
-  ASSERT_EQ(lines.at(3).rfind("TREE nodes=", 0), 0u) << lines.at(3);
-  const std::size_t node_count = std::stoul(lines[3].substr(11));
-  std::istringstream root_fields(lines[4]);
-  std::int64_t left = 0, right = 0, feature = 0, threshold = 0, count0 = 0, count1 = 0;
-  root_fields >> left >> right >> feature >> threshold >> count0 >> count1;
-  ASSERT_GE(left, 0) << "shared store's first tree is unexpectedly a stump";
-  const auto root = [&](std::int64_t l, std::int64_t r, std::int64_t f) {
-    return std::to_string(l) + ' ' + std::to_string(r) + ' ' + std::to_string(f) + ' ' +
-           std::to_string(threshold) + ' ' + std::to_string(count0) + ' ' +
-           std::to_string(count1);
-  };
-  std::size_t end_forest = 2;
-  while (lines.at(end_forest) != "ENDFOREST") ++end_forest;
-
-  const std::string dir = temp_dir("text_nodes");
-  const auto expect_text_rejected = [&](std::vector<std::string> edited, const char* what) {
-    std::string text;
-    for (const std::string& line : edited) text += line + '\n';
-    const std::string path = dir + "/" + what + ".caml";
-    io::write_checksummed_file(path, "models", text);
-    try {
-      GroupModelStore::load_file(path);
-      ADD_FAILURE() << what << ": malformed store was accepted";
-    } catch (const ParseError& e) {
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << what << ": error must name the file: " << e.what();
-    }
-  };
-
-  {
-    std::vector<std::string> edited = lines;
-    edited[4] = root(left, 0, feature);
-    expect_text_rejected(std::move(edited), "child_cycle");
-  }
-  {
-    std::vector<std::string> edited = lines;
-    edited[4] = root(static_cast<std::int64_t>(node_count) + 5, right, feature);
-    expect_text_rejected(std::move(edited), "child_out_of_range");
-  }
-  {
-    std::vector<std::string> edited = lines;
-    edited[4] = root(left, right, 65535);
-    expect_text_rejected(std::move(edited), "feature_out_of_range");
-  }
-  {
-    std::vector<std::string> edited(lines.begin(), lines.begin() + 2);
-    const std::string features = lines[2].substr(lines[2].find(" features="));
-    edited.push_back("FOREST trees=0" + features);
-    edited.insert(edited.end(), lines.begin() + static_cast<std::ptrdiff_t>(end_forest),
-                  lines.end());
-    expect_text_rejected(std::move(edited), "no_trees");
-  }
-}
-
 TEST(BinaryStore, RejectsWrongContainerKind) {
-  // A perfectly valid *text* store container must not open as binary.
+  // A store in the text format older `caml train` versions wrote (a valid
+  // CAMLF1 container of kind "models") is refused, and the error names
+  // the file and the kind it found: there is no text loader to fall back
+  // to.
   const std::string dir = temp_dir("kind");
   const std::string text = dir + "/models.caml";
-  shared_store().save_file(text);
-  EXPECT_FALSE(is_binary_store_file(text));
+  io::write_checksummed_file(
+      text, "models",
+      "CAMLMODELS groups=0 activity=1 response=1 truthtable=1 kind=0\nENDMODELS\n");
   expect_rejected(text, "text container as binary");
-  // And open_model_store routes it to the text loader instead.
-  EXPECT_EQ(open_model_store(text)->num_groups(), shared_store().num_groups());
+  try {
+    open_model_store(text);
+    FAIL() << "a text store was opened";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(text), std::string::npos) << what;
+    EXPECT_NE(what.find("'models'"), std::string::npos) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

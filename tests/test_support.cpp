@@ -1,6 +1,20 @@
 #include "test_support.hpp"
 
+#include <unistd.h>
+
+#include <filesystem>
+
 namespace caml::testing {
+
+store::MappedModelStore write_and_map(const GroupModelStore& store, const std::string& tag) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("caml_map_" + std::to_string(::getpid()) + "_" + tag + ".caml"))
+                               .string();
+  store::write_binary_store_file(path, store);
+  store::MappedModelStore mapped = store::MappedModelStore::open(path);
+  std::filesystem::remove(path);
+  return mapped;
+}
 
 Cell make_nand2() {
   Cell cell("NAND2_FIG4");

@@ -6,8 +6,10 @@
 
 #include "camatrix/matrix.hpp"
 #include "flow/characterize.hpp"
+#include "flow/model_store.hpp"
 #include "libgen/builder.hpp"
 #include "netlist/cell.hpp"
+#include "store/binary_store.hpp"
 
 namespace caml::testing {
 
@@ -32,6 +34,12 @@ LibraryCell build_function(const std::string& function, const Technology& tech,
 
 /// Characterizes one built cell with the default options.
 CharacterizedCell characterize(const LibraryCell& cell, const Technology& tech);
+
+/// Writes `store` as a binary store file in the temp directory and maps
+/// it back (fully verified) — the path from `caml train -o` to
+/// `caml predict`. The file is unlinked once mapped; the mapping keeps
+/// its bytes.
+store::MappedModelStore write_and_map(const GroupModelStore& store, const std::string& tag);
 
 /// The cells and CA-matrix column layouts the grid-walk tests sweep:
 /// INV, NAND2, AOI21 and a split-drive NAND2 (28SOI); the default

@@ -8,7 +8,7 @@
 //   caml hybrid <train.sp> <train-camodels> <target.sp> <target-camodels>
 //               [--routing structural|active|hybrid] [--sim-budget B]
 //   caml active ...                          hybrid with --routing active
-//   caml store <models> --to-binary <out>    convert / inspect model stores
+//   caml store <models.caml> --info          inspect a model store
 //   caml serve <models.caml> --socket PATH   long-lived inference daemon
 //   caml query <cell.sp> --socket PATH       predict via a running daemon
 //
@@ -85,9 +85,7 @@ struct Args {
   std::size_t deadline_ms = 0;
   bool ping = false;
   bool stats = false;
-  // store conversions
-  std::string to_binary;
-  std::string to_text;
+  // store inspection
   bool info = false;
   // hybrid / active flow
   std::string routing;
@@ -119,7 +117,7 @@ struct Args {
       "              [--trees-per-round N] [--full-refit] [-o <models.caml>]\n"
       "              [--checkpoint DIR] [--resume] [--trees N] [--jobs N]\n"
       "  caml active ...                       (hybrid with --routing active)\n"
-      "  caml store <models> (--to-binary <out> | --to-text <out> | --info)\n"
+      "  caml store <models.caml> --info\n"
       "  caml serve <models> --socket PATH [--port N] [--jobs N] [--max-queue N]\n"
       "            [--max-batch N] [--shed-target-ms N]\n"
       "  caml query <cell.sp> --socket PATH [--port N] [-o <dir>] [--ping] [--stats]\n"
@@ -146,14 +144,12 @@ struct Args {
       "any --jobs value and across kill+resume (--checkpoint DIR journals\n"
       "acquisition rounds; --resume replays them). See\n"
       "docs/ACTIVE_LEARNING.md.\n"
-      "store: converts between the text interchange store and the binary\n"
-      "mmap section (CAMLF1 models.bin): --to-binary writes the binary\n"
-      "store, --to-text converts back (byte-identical round trip), --info\n"
-      "prints the header and per-group section facts.\n"
+      "Model stores (train -o, hybrid/active -o) are the binary mmap\n"
+      "section (CAMLF1 models.bin). store --info prints its header and\n"
+      "per-group section facts.\n"
       "serve: loads the trained models once and answers query requests\n"
       "over a Unix-domain socket (--socket) or loopback TCP (--port).\n"
-      "Binary stores are memory-mapped (zero parse, zero copy); text\n"
-      "stores are parsed. Both answer byte-identically.\n"
+      "The store is memory-mapped (zero parse, zero copy).\n"
       "SIGUSR1 dumps the serve_stats block; SIGHUP reloads the model file\n"
       "(validated off the serving threads, old models kept on failure);\n"
       "SIGINT/SIGTERM shut down\n"
@@ -230,8 +226,6 @@ Args parse_args(int argc, char** argv) {
     }
     else if (a == "--ping") args.ping = true;
     else if (a == "--stats") args.stats = true;
-    else if (a == "--to-binary") args.to_binary = value();
-    else if (a == "--to-text") args.to_text = value();
     else if (a == "--info") args.info = true;
     else if (a == "--checkpoint-every") args.checkpoint_every = count_value();
     else if (a == "--resume") args.resume = true;
@@ -372,7 +366,7 @@ int cmd_train(const Args& args) {
   options.forest.num_trees = args.trees;
   options.forest.jobs = args.jobs;
   const GroupModelStore store = GroupModelStore::train(training, options);
-  store.save_file(args.out);
+  store::write_binary_store_file(args.out, store);
   std::cout << "wrote " << store.num_groups() << " group models to " << args.out << '\n';
   return 0;
 }
@@ -381,9 +375,7 @@ int cmd_predict(const Args& args) {
   if (args.positional.size() != 1 || args.models.empty() || args.out.empty()) {
     usage("predict needs a netlist, -m <models> and -o <dir>");
   }
-  // Binary stores mmap (zero parse), text stores load — same interface,
-  // byte-identical predictions either way.
-  const std::shared_ptr<const ModelStore> store_ptr = store::open_model_store(args.models);
+  const auto store_ptr = store::open_model_store(args.models);
   const ModelStore& store = *store_ptr;
   std::cerr << "loaded " << store.num_groups() << " group models\n";
   std::filesystem::create_directories(args.out);
@@ -439,95 +431,45 @@ int cmd_predict(const Args& args) {
   return 0;
 }
 
-/// Loads any store file as an owning GroupModelStore (materializing a
-/// binary store through the validated reader) — the conversion path of
-/// `caml store`.
-GroupModelStore load_owning_store(const std::string& path) {
-  if (store::is_binary_store_file(path)) {
-    return store::MappedModelStore::open(path).materialize();
-  }
-  return GroupModelStore::load_file(path);
-}
-
-void print_matrix_options(const MatrixOptions& m) {
-  std::cout << "  matrix: activity=" << m.include_activity
-            << " response=" << m.include_response
-            << " truthtable=" << m.include_truth_table
-            << " kind=" << m.include_defect_kind << '\n';
-}
-
 int cmd_store(const Args& args) {
-  if (args.positional.size() != 1) usage("store needs a model-store file");
+  if (args.positional.size() != 1 || !args.info) {
+    usage("store needs a model-store file and --info");
+  }
   const std::string path = args.positional[0];
-  const int modes =
-      (args.to_binary.empty() ? 0 : 1) + (args.to_text.empty() ? 0 : 1) + (args.info ? 1 : 0);
-  if (modes != 1) {
-    usage("store needs exactly one of --to-binary <out>, --to-text <out>, --info");
-  }
-  if (!args.to_binary.empty()) {
-    const GroupModelStore owned = load_owning_store(path);
-    store::write_binary_store_file(args.to_binary, owned);
-    std::cout << "wrote binary store " << args.to_binary << " (" << owned.num_groups()
-              << " groups)\n";
-    return 0;
-  }
-  if (!args.to_text.empty()) {
-    const GroupModelStore owned = load_owning_store(path);
-    owned.save_file(args.to_text);
-    std::cout << "wrote text store " << args.to_text << " (" << owned.num_groups()
-              << " groups)\n";
-    return 0;
-  }
-  if (store::is_binary_store_file(path)) {
-    const store::MappedModelStore mapped = store::MappedModelStore::open(path);
-    std::cout << path << ": binary model store (CAMLF1 " << store::kBinaryStoreKind << ")\n"
-              << "  groups: " << mapped.num_groups() << '\n'
-              << "  bytes mapped: " << mapped.bytes_mapped() << '\n';
-    print_matrix_options(mapped.matrix_options());
-    for (const store::MappedModelStore::GroupInfo& g : mapped.group_infos()) {
-      std::cout << "  group (" << g.key.num_inputs << " in, " << g.key.num_transistors
-                << " T): " << g.num_trees << " trees, " << g.num_features
-                << " features, section " << g.forest_size << " bytes at payload offset "
-                << g.forest_offset << '\n';
-    }
-  } else {
-    const GroupModelStore owned = GroupModelStore::load_file(path);
-    std::cout << path << ": text model store\n  groups: " << owned.num_groups() << '\n';
-    print_matrix_options(owned.matrix_options());
-    for (const GroupKey& key : owned.group_keys()) {
-      const RandomForest* forest = owned.forest_for(key);
-      std::cout << "  group (" << key.num_inputs << " in, " << key.num_transistors
-                << " T): " << forest->trees().size() << " trees, "
-                << forest->num_features() << " features\n";
-    }
+  const store::MappedModelStore mapped = store::MappedModelStore::open(path);
+  const MatrixOptions& m = mapped.matrix_options();
+  std::cout << path << ": binary model store (CAMLF1 " << store::kBinaryStoreKind << ")\n"
+            << "  groups: " << mapped.num_groups() << '\n'
+            << "  bytes mapped: " << mapped.bytes_mapped() << '\n'
+            << "  matrix: activity=" << m.include_activity << " response=" << m.include_response
+            << " truthtable=" << m.include_truth_table << " kind=" << m.include_defect_kind
+            << '\n';
+  for (const store::MappedModelStore::GroupInfo& g : mapped.group_infos()) {
+    std::cout << "  group (" << g.key.num_inputs << " in, " << g.key.num_transistors
+              << " T): " << g.num_trees << " trees, " << g.num_features
+              << " features, section " << g.forest_size << " bytes at payload offset "
+              << g.forest_offset << '\n';
   }
   return 0;
 }
 
-/// serve-side store observability (recorded at startup and on every
-/// SIGHUP reload): how long the load/validate took and how many bytes
-/// the serving store keeps memory-mapped (0 for a text store, which is
-/// parsed into owned memory).
-void record_store_metrics(const ModelStore& model_store, std::int64_t load_us) {
-  obs::Registry::global()
-      .histogram("caml_store_reload_duration_us",
-                 "Model store load/validate wall time per (re)load, microseconds")
-      .record(static_cast<std::uint64_t>(load_us));
-  const auto* mapped = dynamic_cast<const store::MappedModelStore*>(&model_store);
-  obs::Registry::global()
-      .gauge("caml_store_bytes_mapped",
-             "Bytes of the serving model store currently memory-mapped")
-      .set(mapped == nullptr ? 0 : static_cast<std::int64_t>(mapped->bytes_mapped()));
-}
-
-/// open_model_store + metrics, shared by serve startup and SIGHUP.
-std::shared_ptr<const ModelStore> open_store_timed(const std::string& path) {
+/// open_model_store plus serve-side store metrics, shared by serve
+/// startup, SIGHUP and fault refresh: how long the open/validate took
+/// and how many bytes the serving store keeps memory-mapped.
+std::shared_ptr<const store::MappedModelStore> open_store_timed(const std::string& path) {
   const auto t0 = std::chrono::steady_clock::now();
-  std::shared_ptr<const ModelStore> opened = store::open_model_store(path);
+  std::shared_ptr<const store::MappedModelStore> opened = store::open_model_store(path);
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-  record_store_metrics(*opened, us);
+  obs::Registry::global()
+      .histogram("caml_store_reload_duration_us",
+                 "Model store load/validate wall time per (re)load, microseconds")
+      .record(static_cast<std::uint64_t>(us));
+  obs::Registry::global()
+      .gauge("caml_store_bytes_mapped",
+             "Bytes of the serving model store currently memory-mapped")
+      .set(static_cast<std::int64_t>(opened->bytes_mapped()));
   return opened;
 }
 
@@ -603,9 +545,9 @@ int cmd_serve(const Args& args) {
     }
     if (sig == SIGHUP) {
       // Hot reload: open + validate on this thread (workers keep serving
-      // the current store), swap in only on success. A binary store
-      // re-maps; the old mapping stays alive until the last in-flight
-      // batch drops its snapshot.
+      // the current store), swap in only on success. The store re-maps;
+      // the old mapping stays alive until the last in-flight batch drops
+      // its snapshot.
       try {
         server.reload(open_store_timed(store_path));
       } catch (const Error& e) {
@@ -805,7 +747,7 @@ int cmd_hybrid(const Args& args, RoutingPolicy default_routing) {
             << " accuracy98=" << format_fixed(report.hybrid.ml_accuracy_above(0.98), 4)
             << '\n';
   if (!args.out.empty()) {
-    report.models.save_file(args.out);
+    store::write_binary_store_file(args.out, report.models);
     std::cerr << "wrote " << report.models.num_groups() << " group models to " << args.out
               << '\n';
   }
