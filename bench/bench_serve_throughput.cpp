@@ -6,10 +6,9 @@
 //     server could serve), worker-thread count sweeping 1/2/4/8.
 //     p50/p99 are client-observed round trips.
 //   * pipelined: the same clients keep `window` requests in flight on
-//     one connection each; the reactor coalesces the decoded requests
-//     across connections into predict_batch sweeps. p50/p99 are
-//     server-side decode-to-response-written latencies, and batch_mean
-//     shows the realized coalescing.
+//     one connection each; the reactor decodes ahead of the compute
+//     workers, which answer one request at a time. p50/p99 are
+//     server-side decode-to-response-written latencies.
 //
 // Both sweeps end with a determinism check: every configuration and
 // both modes must produce byte-identical predictions. --quick shrinks
@@ -47,7 +46,6 @@ struct RunResult {
   double seconds = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  double batch_mean = 0.0;  // pipelined mode only
   std::string first_model;
   bool all_ok = false;
 };
@@ -115,8 +113,8 @@ RunResult run_roundtrip(const GroupModelStore& store, const std::string& netlist
 }
 
 /// `window` requests in flight per connection: the reactor decodes ahead
-/// of the compute plane and coalesces requests across all connections
-/// into predict_batch sweeps.
+/// of the compute plane, which drains one queue shared by all
+/// connections.
 RunResult run_pipelined(const GroupModelStore& store, const std::string& netlist,
                         const std::string& socket_path, std::size_t workers,
                         std::size_t window, std::size_t requests_per_client) {
@@ -163,7 +161,6 @@ RunResult run_pipelined(const GroupModelStore& store, const std::string& netlist
   result.all_ok = result.total == kClients * requests_per_client;
   result.p50_ms = stats.latency_p50_ms;  // server-side decode-to-written
   result.p99_ms = stats.latency_p99_ms;
-  result.batch_mean = stats.batch_mean;
   return result;
 }
 
@@ -249,8 +246,7 @@ int main(int argc, char** argv) {
   const std::size_t pipeline_workers = worker_sweep.back();
   std::cout << "\nmode pipelined (" << pipeline_workers
             << " workers; `window` requests in flight per connection,\n"
-               "server-side decode-to-response-written latency; batch_mean =\n"
-               "requests coalesced per cross-connection predict_batch sweep):\n";
+               "server-side decode-to-response-written latency):\n";
   TextTable pipelined;
   pipelined.new_row();
   pipelined.cell("window");
@@ -260,7 +256,6 @@ int main(int argc, char** argv) {
   pipelined.cell("p50 ms");
   pipelined.cell("p99 ms");
   pipelined.cell("p99/p50");
-  pipelined.cell("batch_mean");
   for (const std::size_t window : window_sweep) {
     const RunResult r = run_pipelined(store, netlist, socket_path, pipeline_workers,
                                       window, requests_per_client);
@@ -273,7 +268,6 @@ int main(int argc, char** argv) {
     pipelined.cell(r.p50_ms, 2);
     pipelined.cell(r.p99_ms, 2);
     pipelined.cell(tail_ratio(r), 1);
-    pipelined.cell(r.batch_mean, 2);
   }
   pipelined.print(std::cout);
 

@@ -190,7 +190,7 @@ stop_server
 
 echo "== scenario F: deadline sheds consume no compute"
 SOCK="$WORK/f.sock"
-"$CAML" serve "$WORK/groups.caml" --socket "$SOCK" --jobs 1 --max-batch 1 \
+"$CAML" serve "$WORK/groups.caml" --socket "$SOCK" --jobs 1 \
   2>"$WORK/server.err" &
 SERVER_PID=$!
 wait_ready "$SOCK" || fail "shed daemon never became ready"
@@ -223,7 +223,7 @@ stop_server
 
 echo "== scenario G: sojourn-target admission under overload"
 SOCK="$WORK/g.sock"
-"$CAML" serve "$WORK/groups.caml" --socket "$SOCK" --jobs 1 --max-batch 1 \
+"$CAML" serve "$WORK/groups.caml" --socket "$SOCK" --jobs 1 \
   --shed-target-ms 1 2>"$WORK/server.err" &
 SERVER_PID=$!
 wait_ready "$SOCK" || fail "shed-target daemon never became ready"

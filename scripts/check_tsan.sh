@@ -3,7 +3,7 @@
 # parallel forest training, the store's cross-group training schedule
 # and the dataset dedup index it reads, the active-learning scoring/retraining
 # loop, and the serve reactor + compute plane:
-# reactor thread, worker batches, wakeup pipe, stats, hot reload, the
+# reactor thread, compute workers, wakeup pipe, stats, hot reload, the
 # sojourn-shed admission policy and store-fault recovery, the fault
 # hooks' lock-free disarmed check racing arm/disarm, and the NetFault
 # regression tests: EINTR/EAGAIN storms, trickles, injected resets)

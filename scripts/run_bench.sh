@@ -4,17 +4,16 @@
 #                           vs. zero-allocation overlay kernel),
 #   - bench_parallel_scaling (characterize_library / forest fit),
 #   - bench_serve_throughput (daemon: roundtrip worker sweep plus
-#                             pipelined cross-connection coalescing),
+#                             pipelined clients),
 #   - bench_store_load       (model store: binary mmap open scaling,
 #                             serve cold start),
 #   - bench_active_budget     (active-learning routing: accuracy vs.
 #                             simulation budget against the structural
 #                             baseline),
 # then distills the numbers that matter — cells/s, defect-sims/s,
-# baseline-vs-kernel speedup, p50/p99 latencies, tail ratios, realized
-# batch sizes — into BENCH_PR6.json, the store load/cold-start
-# numbers into BENCH_PR7.json, and the accuracy-vs-budget curve into
-# BENCH_PR9.json.
+# baseline-vs-kernel speedup, p50/p99 latencies, tail ratios — into
+# BENCH_PR6.json, the store load/cold-start numbers into BENCH_PR7.json,
+# and the accuracy-vs-budget curve into BENCH_PR9.json.
 #
 # Every workload is seeded deterministically inside the benches
 # (cell builder Rng(7), forest dataset Rng(2024), stimulus enumeration
@@ -197,13 +196,12 @@ for cells in parse_rows(serve, "mode roundtrip"):
 srv["roundtrip"] = roundtrip
 pipelined = {}
 for cells in parse_rows(serve, "mode pipelined"):
-    window, requests, seconds, rps, p50, p99, tail, batch_mean = cells[:8]
+    window, requests, seconds, rps, p50, p99, tail = cells[:7]
     pipelined[f"window_{window}"] = {
         "requests_per_s": float(rps),
         "p50_ms": float(p50),
         "p99_ms": float(p99),
         "p99_over_p50": float(tail),
-        "batch_mean": float(batch_mean),
     }
 srv["pipelined"] = pipelined
 report["benchmarks"]["serve"] = srv

@@ -1,7 +1,5 @@
 #include "serve/batch.hpp"
 
-#include <map>
-#include <optional>
 #include <utility>
 
 #include "camatrix/canonical.hpp"
@@ -25,123 +23,76 @@ Frame error_response(std::uint64_t request_id, ErrorCode code, const std::string
   return frame;
 }
 
-/// Per-job scratch while the batch is in flight. `cell` points into
-/// `cells`, which owns the parse result for the job's lifetime.
-struct Item {
-  PredictOutcome out;
-  std::vector<Cell> cells;
-  const Cell* cell = nullptr;
-  std::optional<PreparedPrediction> prepared;
-  const Classifier* classifier = nullptr;
-};
-
 }  // namespace
+
+PredictOutcome answer_predict(const ModelStore& store, const PolicyProfile& policy,
+                              PredictJob job) {
+  CAML_TRACE_SPAN_ITEMS("serve_batch", 1);
+  PredictOutcome out;
+  out.conn_id = job.conn_id;
+  out.seq = job.seq;
+  out.enqueued_us = job.enqueued_us;
+  const std::uint64_t id = job.request_id;
+  try {
+    const std::vector<Cell> cells = SpiceParser().parse_string(job.netlist);
+    if (cells.size() != 1) {
+      out.kind = PredictOutcome::Kind::kError;
+      out.response = error_response(id, ErrorCode::kBadRequest,
+                                    "expected exactly one .SUBCKT per request, got " +
+                                        std::to_string(cells.size()));
+      return out;
+    }
+    const Cell& cell = cells.front();
+    const GroupKey key{cell.num_inputs(), cell.num_transistors()};
+    const Classifier* classifier = store.classifier_for(key);
+    if (classifier == nullptr) {
+      out.kind = PredictOutcome::Kind::kNoGroup;
+      out.response = error_response(
+          id, ErrorCode::kNoGroup,
+          "no trained model for group (" + std::to_string(key.num_inputs) + " inputs, " +
+              std::to_string(key.num_transistors) + " transistors); cell " + cell.name() +
+              " needs conventional generation");
+      return out;
+    }
+    PreparedPrediction prepared =
+        prepare_prediction(cell, canonicalize(cell), policy.policy_for(cell.num_inputs()),
+                           SimConfig{}, store.matrix_options(), enumerate_defects(cell));
+    std::vector<std::uint8_t> labels;
+    if (prepared.matrix.num_rows() > 0) {
+      labels = classifier->predict_grid(row_grid(prepared.matrix));
+    }
+    const CaModel predicted = finish_prediction(std::move(prepared), labels.data());
+    out.response.type = MsgType::kPredictOk;
+    out.response.request_id = id;
+    out.response.payload = ca_model_to_string(predicted, cell);
+    out.kind = PredictOutcome::Kind::kOk;
+    out.rows_classified = predicted.defects.size() * predicted.stimuli.size();
+  } catch (const io::MappingFault& e) {
+    // The mapped store faulted mid-traversal (file changed under the
+    // mapping). Fail this request with a structured INTERNAL and flag it
+    // so the server swaps to a good snapshot — the daemon itself never
+    // dies.
+    log_error() << "store fault while answering a prediction: " << e.what();
+    out.kind = PredictOutcome::Kind::kError;
+    out.store_fault = true;
+    out.response = error_response(id, ErrorCode::kInternal, e.what());
+  } catch (const ParseError& e) {
+    out.kind = PredictOutcome::Kind::kError;
+    out.response = error_response(id, ErrorCode::kParseError, e.what());
+  } catch (const Error& e) {
+    log_warn() << "prediction failed: " << e.what();
+    out.kind = PredictOutcome::Kind::kError;
+    out.response = error_response(id, ErrorCode::kInternal, e.what());
+  }
+  return out;
+}
 
 std::vector<PredictOutcome> answer_predict_batch(const ModelStore& store,
                                                  const PolicyProfile& policy,
                                                  std::vector<PredictJob> jobs) {
-  CAML_TRACE_SPAN_ITEMS("serve_batch", jobs.size());
-  std::vector<Item> items(jobs.size());
-
-  // Phase 1 — per-request prepare: parse, route to a group model, build
-  // the unlabeled matrix + model skeleton. Failures settle the item
-  // immediately with a structured error and drop out of phase 2.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    PredictJob& job = jobs[i];
-    Item& item = items[i];
-    item.out.conn_id = job.conn_id;
-    item.out.seq = job.seq;
-    item.out.enqueued_us = job.enqueued_us;
-    const std::uint64_t id = job.request_id;
-    try {
-      item.cells = SpiceParser().parse_string(job.netlist);
-      if (item.cells.size() != 1) {
-        item.out.kind = PredictOutcome::Kind::kError;
-        item.out.response =
-            error_response(id, ErrorCode::kBadRequest,
-                           "expected exactly one .SUBCKT per request, got " +
-                               std::to_string(item.cells.size()));
-        continue;
-      }
-      const Cell& cell = item.cells.front();
-      item.cell = &cell;
-      const GroupKey key{cell.num_inputs(), cell.num_transistors()};
-      item.classifier = store.classifier_for(key);
-      if (item.classifier == nullptr) {
-        item.out.kind = PredictOutcome::Kind::kNoGroup;
-        item.out.response = error_response(
-            id, ErrorCode::kNoGroup,
-            "no trained model for group (" + std::to_string(key.num_inputs) + " inputs, " +
-                std::to_string(key.num_transistors) + " transistors); cell " + cell.name() +
-                " needs conventional generation");
-        continue;
-      }
-      const CanonicalCell canonical = canonicalize(cell);
-      item.prepared = prepare_prediction(cell, canonical,
-                                         policy.policy_for(cell.num_inputs()), SimConfig{},
-                                         store.matrix_options(), enumerate_defects(cell));
-      item.out.response.type = MsgType::kPredictOk;
-      item.out.response.request_id = id;
-    } catch (const ParseError& e) {
-      item.out.kind = PredictOutcome::Kind::kError;
-      item.out.response = error_response(id, ErrorCode::kParseError, e.what());
-    } catch (const Error& e) {
-      log_warn() << "prediction failed: " << e.what();
-      item.out.kind = PredictOutcome::Kind::kError;
-      item.out.response = error_response(id, ErrorCode::kInternal, e.what());
-    }
-  }
-
-  // Phase 2 — classification per group model: each prepared item's
-  // matrix is swept as its own stimulus × defect grid (one descent per
-  // tree and defect), the group's items back to back against the same
-  // model. Rows are classified independently, so the labels equal those
-  // of a per-request prediction bit for bit.
-  std::map<const Classifier*, std::vector<std::size_t>> by_group;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].prepared) by_group[items[i].classifier].push_back(i);
-  }
-  for (const auto& [classifier, member_items] : by_group) {
-    std::vector<std::vector<std::uint8_t>> labels(member_items.size());
-    try {
-      for (std::size_t k = 0; k < member_items.size(); ++k) {
-        const CaMatrix& matrix = items[member_items[k]].prepared->matrix;
-        if (matrix.num_rows() > 0) labels[k] = classifier->predict_grid(row_grid(matrix));
-      }
-    } catch (const io::MappingFault& e) {
-      // The mapped store faulted mid-traversal (file changed under the
-      // mapping). Fail this group's requests with a structured INTERNAL
-      // and flag the outcomes so the server swaps to a good snapshot —
-      // the daemon itself never dies.
-      log_error() << "store fault while classifying a serve batch: " << e.what();
-      for (const std::size_t i : member_items) {
-        Item& item = items[i];
-        item.out.kind = PredictOutcome::Kind::kError;
-        item.out.store_fault = true;
-        item.out.response =
-            error_response(item.out.response.request_id, ErrorCode::kInternal, e.what());
-      }
-      continue;
-    }
-    for (std::size_t k = 0; k < member_items.size(); ++k) {
-      Item& item = items[member_items[k]];
-      try {
-        const CaModel predicted = finish_prediction(std::move(*item.prepared), labels[k].data());
-        item.out.response.payload = ca_model_to_string(predicted, *item.cell);
-        item.out.kind = PredictOutcome::Kind::kOk;
-        item.out.rows_classified = predicted.defects.size() * predicted.stimuli.size();
-      } catch (const Error& e) {
-        log_warn() << "prediction failed: " << e.what();
-        item.out.kind = PredictOutcome::Kind::kError;
-        item.out.response =
-            error_response(item.out.response.request_id, ErrorCode::kInternal, e.what());
-      }
-    }
-  }
-
   std::vector<PredictOutcome> outcomes;
-  outcomes.reserve(items.size());
-  for (Item& item : items) outcomes.push_back(std::move(item.out));
+  outcomes.reserve(jobs.size());
+  for (PredictJob& job : jobs) outcomes.push_back(answer_predict(store, policy, std::move(job)));
   return outcomes;
 }
 

@@ -41,17 +41,19 @@ struct PredictOutcome {
   bool store_fault = false;
 };
 
-/// Answers a coalesced batch of PREDICT requests against one store
-/// snapshot: every request's cell is parsed and prepared independently
-/// (matrix build + golden simulation), then the requests that map to
-/// the same group model are classified against it back to back, each
-/// matrix as one stimulus × defect grid sweep (Classifier::predict_grid).
-/// Per-row classification is independent, so the responses are
-/// byte-identical to answering each request alone (tested).
+/// Answers one PREDICT request against one store snapshot: parse the
+/// cell, look up its group model, prepare the unlabeled matrix (matrix
+/// build + golden simulation), sweep it as one stimulus × defect grid
+/// (Classifier::predict_grid) and finish the CA-model.
 ///
 /// Never throws: malformed payloads, unknown groups and internal
-/// failures become structured kError responses for their own request
-/// only. Outcomes are returned in job order.
+/// failures become structured kError / kNoGroup responses. A fault on
+/// the mapped store fails this request with `store_fault` set.
+PredictOutcome answer_predict(const ModelStore& store, const PolicyProfile& policy,
+                              PredictJob job);
+
+/// answer_predict over each job in turn; outcomes are returned in job
+/// order.
 std::vector<PredictOutcome> answer_predict_batch(const ModelStore& store,
                                                  const PolicyProfile& policy,
                                                  std::vector<PredictJob> jobs);

@@ -101,8 +101,8 @@ class Client {
 
   /// Pipelined batch predict: keeps up to `window` requests in flight on
   /// one connection and reads responses in request order (the server
-  /// guarantees in-order delivery per connection, and coalesces the
-  /// pipelined requests into cross-connection compute batches). Results
+  /// guarantees in-order delivery per connection, while its compute
+  /// workers answer the pipelined requests in parallel). Results
   /// come back in input order; per-request failures are returned, not
   /// thrown. Throws caml::Error only on transport failure, which voids
   /// the whole batch (no mid-batch replay — callers resubmit).

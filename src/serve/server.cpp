@@ -220,8 +220,8 @@ void Server::start() {
              << (options_.socket_path.empty()
                      ? "tcp 127.0.0.1:" + std::to_string(bound_port_)
                      : options_.socket_path)
-             << " (event loop + " << worker_count_ << " compute workers, batch "
-             << options_.max_batch << ", queue " << options_.max_queue << ")";
+             << " (event loop + " << worker_count_ << " compute workers, queue "
+             << options_.max_queue << ")";
 }
 
 void Server::stop() {
@@ -235,7 +235,7 @@ void Server::stop() {
   {
     // The reactor is gone: responses to still-queued requests have no
     // reader, so the backlog is dropped rather than computed into the
-    // void. In-flight batches finish on their own.
+    // void. In-flight requests finish on their own.
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     jobs_draining_ = true;
     job_queue_.clear();
@@ -261,93 +261,59 @@ void Server::stop() {
 
 void Server::worker_loop() {
   for (;;) {
-    std::vector<PredictJob> batch;
-    std::vector<PredictOutcome> shed;
-    std::vector<std::int64_t> sojourns;
-    std::size_t popped = 0;
+    PredictJob job;
+    std::int64_t now = 0;
     {
       std::unique_lock<std::mutex> lock(jobs_mutex_);
       jobs_cv_.wait(lock, [this] { return jobs_draining_ || !job_queue_.empty(); });
       if (job_queue_.empty()) return;  // draining and fully drained
-      const std::size_t n = std::min(job_queue_.size(), std::max<std::size_t>(
-                                                            options_.max_batch, 1));
-      const std::int64_t now = monotonic_us();
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        PredictJob job = std::move(job_queue_.front());
-        job_queue_.pop_front();
-        record_sojourn_locked(now - job.enqueued_us);
-        sojourns.push_back(now - job.enqueued_us);
-        if (job.deadline_us >= 0 && now >= job.deadline_us) {
-          // The client's deadline already passed while the job queued:
-          // computing the answer would be pure waste — shed it with a
-          // structured DEADLINE_EXCEEDED instead.
-          PredictOutcome out;
-          out.kind = PredictOutcome::Kind::kShed;
-          out.conn_id = job.conn_id;
-          out.seq = job.seq;
-          out.enqueued_us = -1;  // sheds never feed the latency histogram
-          out.response = error_frame(job.request_id, ErrorCode::kDeadlineExceeded,
-                                     "deadline expired after " +
-                                         std::to_string((now - job.enqueued_us) / 1000) +
-                                         " ms in queue; request shed before compute");
-          shed.push_back(std::move(out));
-        } else {
-          batch.push_back(std::move(job));
-        }
-      }
-      popped = n;
-      jobs_inflight_ += popped;
+      job = std::move(job_queue_.front());
+      job_queue_.pop_front();
+      now = monotonic_us();
+      record_sojourn_locked(now - job.enqueued_us);
       stats_.update_predict_backlog(job_queue_.size());
     }
-    for (const std::int64_t s : sojourns) stats_.record_sojourn_us(s);
+    stats_.record_sojourn_us(now - job.enqueued_us);
 
-    std::vector<PredictOutcome> outcomes;
-    if (!batch.empty()) {
-      stats_.record_batch(batch.size());
-      const std::shared_ptr<const ModelStore> snap = store_snapshot();
+    PredictOutcome out;
+    out.conn_id = job.conn_id;
+    out.seq = job.seq;
+    out.enqueued_us = job.enqueued_us;
+    std::shared_ptr<const ModelStore> snap;
+    if (job.deadline_us >= 0 && now >= job.deadline_us) {
+      // The client's deadline already passed while the job queued:
+      // computing the answer would be pure waste — shed it with a
+      // structured DEADLINE_EXCEEDED instead.
+      out.kind = PredictOutcome::Kind::kShed;
+      out.enqueued_us = -1;  // sheds never feed the latency histogram
+      out.response = error_frame(job.request_id, ErrorCode::kDeadlineExceeded,
+                                 "deadline expired after " +
+                                     std::to_string((now - job.enqueued_us) / 1000) +
+                                     " ms in queue; request shed before compute");
+    } else {
+      snap = store_snapshot();
       if (!snap->healthy()) {
         // Backing storage changed under the mapping (size revalidation
-        // failed): answers would be garbage or SIGBUS. Fail the batch
+        // failed): answers would be garbage or SIGBUS. Fail the request
         // up front and trigger recovery.
-        for (PredictJob& job : batch) {
-          PredictOutcome out;
-          out.kind = PredictOutcome::Kind::kError;
-          out.store_fault = true;
-          out.conn_id = job.conn_id;
-          out.seq = job.seq;
-          out.enqueued_us = job.enqueued_us;
-          out.response = error_frame(job.request_id, ErrorCode::kInternal,
-                                     "model store backing file changed under the mapping");
-          outcomes.push_back(std::move(out));
-        }
+        out.kind = PredictOutcome::Kind::kError;
+        out.store_fault = true;
+        out.response = error_frame(job.request_id, ErrorCode::kInternal,
+                                   "model store backing file changed under the mapping");
       } else {
-        outcomes = answer_predict_batch(*snap, options_.policy, std::move(batch));
+        out = answer_predict(*snap, options_.policy, std::move(job));
       }
-      bool faulted = false;
-      for (const PredictOutcome& o : outcomes) {
-        if (o.store_fault) faulted = true;
-        switch (o.kind) {
-          case PredictOutcome::Kind::kOk: stats_.record_ok(1, o.rows_classified); break;
-          case PredictOutcome::Kind::kNoGroup: stats_.record_no_group(); break;
-          case PredictOutcome::Kind::kError: stats_.record_error(); break;
-          case PredictOutcome::Kind::kShed: stats_.record_shed_expired(); break;
-        }
-      }
-      if (faulted) handle_store_fault(snap);
     }
-    for (PredictOutcome& o : shed) {
-      stats_.record_shed_expired();
-      outcomes.push_back(std::move(o));
+    switch (out.kind) {
+      case PredictOutcome::Kind::kOk: stats_.record_ok(1, out.rows_classified); break;
+      case PredictOutcome::Kind::kNoGroup: stats_.record_no_group(); break;
+      case PredictOutcome::Kind::kError: stats_.record_error(); break;
+      case PredictOutcome::Kind::kShed: stats_.record_shed_expired(); break;
     }
+    if (out.store_fault) handle_store_fault(snap);
     {
       std::lock_guard<std::mutex> lock(done_mutex_);
-      done_.insert(done_.end(), std::make_move_iterator(outcomes.begin()),
-                   std::make_move_iterator(outcomes.end()));
-    }
-    {
-      std::lock_guard<std::mutex> lock(jobs_mutex_);
-      jobs_inflight_ -= popped;
+      done_.push_back(std::move(out));
     }
     // Wake the reactor. A full pipe means wakeups are already pending —
     // EAGAIN is success here.
@@ -374,7 +340,7 @@ void Server::enqueue_encoded(Connection& conn, std::uint64_t seq, std::string by
   Connection::OutFrame out{std::move(bytes), started_us};
   if (seq != conn.next_flush_seq) {
     // Completed out of request order (a later pipelined request finished
-    // in an earlier batch): hold it until its turn so the wire carries
+    // first on another worker): hold it until its turn so the wire carries
     // responses in request order.
     conn.reorder.emplace(seq, std::move(out));
     return;

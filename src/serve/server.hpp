@@ -28,21 +28,16 @@ struct ServerOptions {
   /// TCP `tcp_port` instead (0 = pick an ephemeral port; see port()).
   std::string socket_path;
   std::uint16_t tcp_port = 0;
-  /// Compute-plane worker threads draining coalesced predict batches
-  /// (0 = one per hardware thread). Connections are NOT pinned to
-  /// workers: the reactor multiplexes every connection and any worker
-  /// answers any request.
+  /// Compute-plane worker threads, each answering one decoded PREDICT
+  /// request at a time (0 = one per hardware thread). Connections are
+  /// NOT pinned to workers: the reactor multiplexes every connection
+  /// and any worker answers any request.
   std::size_t jobs = 0;
   /// Admission control: connections beyond `jobs + max_queue` are
   /// rejected immediately with a kOverloaded error carrying
   /// retry_after_ms — bounded memory under overload instead of
   /// unbounded connection growth.
   std::size_t max_queue = 64;
-  /// Requests coalesced into one compute batch: the reactor queues
-  /// decoded PREDICT requests from all connections and a worker drains
-  /// up to max_batch of them at once, sharing one store snapshot and
-  /// one group model lookup per group (serve/batch.hpp).
-  std::size_t max_batch = 32;
   /// Decoded PREDICT requests allowed to wait for the compute plane.
   /// Beyond it, requests are answered kOverloaded (the connection stays
   /// open) — backpressure for deeply pipelined clients.
@@ -85,11 +80,12 @@ struct ServerOptions {
 ///     written through per-connection output queues, so any number of
 ///     pipelined requests can be in flight per connection while
 ///     responses still go out in request order.
-///   * `jobs` ThreadPool workers form the compute plane: each drains up
-///     to max_batch decoded PREDICT requests — coalesced across all
-///     connections — and answers them against one store snapshot, one
-///     grid sweep per request (see serve/batch.hpp). Finished frames are
-///     handed back to the reactor over a wakeup pipe.
+///   * `jobs` ThreadPool workers form the compute plane: each pops one
+///     decoded PREDICT request from the queue shared by all connections,
+///     sheds it if its deadline already passed, and otherwise answers it
+///     against one store snapshot with one grid sweep (see
+///     serve/batch.hpp). Finished frames are handed back to the reactor
+///     over a wakeup pipe.
 ///
 /// The wire protocol is byte-compatible with the thread-per-connection
 /// server this replaced; existing clients work unchanged.
@@ -107,8 +103,8 @@ struct ServerOptions {
 /// Callers load + validate the new store first (off the serving
 /// threads) and only call reload() on success, so a corrupt file on
 /// disk never displaces the store that is already serving. In-flight
-/// batches finish on the snapshot they started with; subsequent batches
-/// see the new store.
+/// requests finish on the snapshot they started with; subsequent
+/// requests see the new store.
 class Server {
  public:
   /// Serves any ModelStore implementation — the owning GroupModelStore
@@ -127,7 +123,7 @@ class Server {
   /// Atomically replaces the model store (SIGHUP hot-reload). Safe to
   /// call while serving; never blocks workers beyond a pointer swap.
   /// The shared_ptr form also swaps in a mapped binary store — the old
-  /// mapping stays alive until the last in-flight batch drops its
+  /// mapping stays alive until the last in-flight request drops its
   /// snapshot.
   void reload(std::shared_ptr<const ModelStore> store);
   void reload(GroupModelStore store);
@@ -170,8 +166,8 @@ class Server {
   void publish_queue_depth();
   bool fully_drained() const;
 
-  /// The store serving right now. Each compute batch takes one snapshot
-  /// and uses it throughout, so a concurrent reload() can never swap the
+  /// The store serving right now. Each request takes one snapshot and
+  /// uses it throughout, so a concurrent reload() can never swap the
   /// models out from under a half-finished prediction.
   std::shared_ptr<const ModelStore> store_snapshot() const;
 
@@ -222,12 +218,11 @@ class Server {
   bool stopping_ = false;              ///< reactor saw the stop signal
   std::int64_t stop_deadline_us_ = 0;  ///< bounded-drain deadline once stopping
 
-  // Reactor → compute plane: coalesced predict-job queue.
+  // Reactor → compute plane: predict-job queue shared by all connections.
   std::mutex jobs_mutex_;
   std::condition_variable jobs_cv_;
   std::deque<PredictJob> job_queue_;
   bool jobs_draining_ = false;
-  std::size_t jobs_inflight_ = 0;  ///< popped but not yet completed (guarded by jobs_mutex_)
   /// Sliding window of recent queue sojourns feeding the p99 admission
   /// policy (guarded by jobs_mutex_; plain ring, no allocation on the
   /// hot path).

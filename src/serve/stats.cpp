@@ -57,8 +57,6 @@ ServeStats::ServeStats()
       latency_(reg().histogram("caml_serve_request_latency_us",
                                "Per-request decode-to-response-written latency in "
                                "microseconds")),
-      batch_size_(reg().histogram("caml_serve_batch_size",
-                                  "Requests per coalesced cross-connection predict batch")),
       sojourn_(reg().histogram("caml_serve_queue_sojourn_us",
                                "Queue sojourn (decode to compute-plane pop) per PREDICT in "
                                "microseconds")),
@@ -76,7 +74,6 @@ ServeStats::ServeStats()
       base_shed_overload_(shed_overload_.value()),
       base_store_faults_(store_faults_.value()),
       base_latency_(latency_.snapshot()),
-      base_batch_size_(batch_size_.snapshot()),
       base_sojourn_(sojourn_.snapshot()) {}
 
 void ServeStats::record_latency_us(std::int64_t us) {
@@ -119,11 +116,6 @@ StatsSnapshot ServeStats::snapshot() const {
   s.store_faults = store_faults_.value() - base_store_faults_;
   const obs::HistogramSnapshot sojourn = sojourn_.snapshot().diff(base_sojourn_);
   if (sojourn.count > 0) s.sojourn_p99_ms = sojourn.percentile(0.99) / 1000.0;
-  const obs::HistogramSnapshot batches = batch_size_.snapshot().diff(base_batch_size_);
-  s.batches = batches.count;
-  if (batches.count > 0) {
-    s.batch_mean = static_cast<double>(batches.sum) / static_cast<double>(batches.count);
-  }
   s.latency_max_ms =
       static_cast<double>(latency_max_us_.load(std::memory_order_relaxed)) / 1000.0;
 
@@ -151,8 +143,6 @@ std::string format_stats(const StatsSnapshot& s) {
      << "  rows_classified      " << s.rows_classified << '\n'
      << "  queue_depth          " << s.queue_depth << '\n'
      << "  queue_high_water     " << s.queue_high_water << '\n'
-     << "  batches              " << s.batches << '\n'
-     << "  batch_mean           " << format_fixed(s.batch_mean, 2) << '\n'
      << "  reloads              " << s.reloads << '\n'
      << "  shed_expired         " << s.shed_expired << '\n'
      << "  shed_overload        " << s.shed_overload << '\n'

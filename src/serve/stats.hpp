@@ -21,8 +21,6 @@ struct StatsSnapshot {
   std::uint64_t rows_classified = 0;   ///< CA-matrix rows pushed through the forests
   std::uint64_t queue_depth = 0;       ///< queued-beyond-capacity right now (0 when drained)
   std::uint64_t queue_high_water = 0;  ///< max queue depth observed
-  std::uint64_t batches = 0;           ///< coalesced predict batches computed
-  double batch_mean = 0.0;             ///< mean requests per coalesced batch
   std::uint64_t reloads = 0;           ///< successful SIGHUP store reloads
   std::uint64_t shed_expired = 0;      ///< DEADLINE_EXCEEDED sheds (client deadline ran out in queue)
   std::uint64_t shed_overload = 0;     ///< PREDICTs shed by the sojourn-p99 admission policy
@@ -91,9 +89,6 @@ class ServeStats {
     sojourn_p99_gauge_.set(static_cast<std::int64_t>(us));
   }
   void record_latency_us(std::int64_t us);
-  /// One coalesced predict batch of `requests` requests handed to the
-  /// compute plane.
-  void record_batch(std::size_t requests) { batch_size_.record(requests); }
   /// Sets the live queue-depth gauge (and raises the high-water mark).
   /// Callers must report shrinkage too — a gauge only ever fed on the
   /// push side reads high forever after a burst.
@@ -125,7 +120,6 @@ class ServeStats {
   obs::Gauge& predict_backlog_gauge_;
   obs::Gauge& sojourn_p99_gauge_;
   obs::Histogram& latency_;
-  obs::Histogram& batch_size_;
   obs::Histogram& sojourn_;
 
   // Registry values at construction: snapshot() reports deltas.
@@ -143,7 +137,6 @@ class ServeStats {
   std::uint64_t base_shed_overload_;
   std::uint64_t base_store_faults_;
   obs::HistogramSnapshot base_latency_;
-  obs::HistogramSnapshot base_batch_size_;
   obs::HistogramSnapshot base_sojourn_;
 
   // Maxima are per-instance (they do not subtract); the global gauge

@@ -277,7 +277,6 @@ MappedModelStore MappedModelStore::open(const std::string& path, Verify verify) 
   const std::uint64_t index_offset = read_u64(payload + 32);
   const std::uint64_t data_offset = read_u64(payload + 40);
   const std::uint32_t index_crc = read_u32(payload + 48);
-  const std::uint32_t data_crc = read_u32(payload + 52);
   const std::uint64_t index_bytes = group_count * kIndexEntryBytes;
   if (index_offset != kBinHeaderBytes) {
     fail_at(path, file_off(32), "index_offset must be " + std::to_string(kBinHeaderBytes));
@@ -296,11 +295,10 @@ MappedModelStore MappedModelStore::open(const std::string& path, Verify verify) 
   if (io::crc32(index_view) != index_crc) {
     fail_at(path, file_off(index_offset), "index table checksum mismatch");
   }
-  if (verify == Verify::kFull) {
-    if (io::crc32(c.payload.substr(data_offset)) != data_crc) {
-      fail_at(path, file_off(data_offset), "data section checksum mismatch");
-    }
-  }
+  // The data-section CRC at offset 52 is not re-checked: the data
+  // section is a suffix of the payload the container CRC already
+  // covers, and CRC-32 is linear, so any corruption confined to it fails
+  // both checks or neither.
 
   store.matrix_ = flags_to_matrix(matrix_flags);
   store.keys_.reserve(group_count);

@@ -36,7 +36,10 @@ namespace caml::store {
 ///    32  index_offset u64  == 64
 ///    40  data_offset u64   == 64 + 32 * group_count
 ///    48  index_crc32 u32   CRC-32 of the index table bytes
-///    52  payload_crc32 u32 CRC-32 of [data_offset, payload_size)
+///    52  payload_crc32 u32 CRC-32 of [data_offset, payload_size);
+///                          written for other readers, not re-checked by
+///                          MappedModelStore, which relies on the
+///                          container CRC for the data section
 ///    56  reserved u64      0
 ///
 ///   IndexEntry (32 bytes each, sorted by (inputs, transistors),
@@ -80,7 +83,7 @@ void write_binary_store_file(const std::string& path, const GroupModelStore& sto
 class MappedModelStore final : public ModelStore {
  public:
   /// kFull (default, used by serve and the CLI) additionally checks the
-  /// container CRC, the data-section CRC and every forest through
+  /// container CRC (which covers the data section) and every forest through
   /// find_forest_defect (ml/forest.hpp) — a corrupt or adversarial file
   /// fails with a ParseError naming the file and byte offset, never UB.
   /// Any other container kind (such as a `models` text store written by

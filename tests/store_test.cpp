@@ -686,7 +686,7 @@ TEST(BinaryStore, ServerRecoversFromStoreFaultViaRefresh) {
 
   serve::ServerOptions options;
   options.socket_path = temp_socket("refresh");
-  options.jobs = 1;  // one worker: fault -> recovery -> next batch is serial
+  options.jobs = 1;  // one worker: fault -> recovery -> next request is serial
   serve::Server server(open_model_store(victim), options);
   server.set_store_refresh([victim, pristine]() -> std::shared_ptr<const ModelStore> {
     // Source-of-truth repair: put the pristine bytes back, then re-open.
@@ -723,8 +723,8 @@ TEST(BinaryStore, ServerRecoversFromStoreFaultViaRefresh) {
 
 TEST(BinaryStore, ReloadRacesInflightBatchesOnMappedStore) {
   // SIGHUP reload storms while pipelined batches are in flight on a
-  // mapped store: every in-flight batch finishes on the snapshot it
-  // started with (the old mapping stays alive until its last batch
+  // mapped store: every in-flight request finishes on the snapshot it
+  // started with (the old mapping stays alive until its last request
   // drops the shared_ptr), so every answer stays byte-identical.
   const Technology tech = technology_28soi();
   std::vector<std::string> netlists;

@@ -76,7 +76,6 @@ struct Args {
   std::string socket;
   std::uint16_t port = 0;
   std::size_t max_queue = 64;
-  std::size_t max_batch = 32;
   /// serve: shed new PREDICTs when queue-sojourn p99 exceeds this
   /// (daemon default on at 1000 ms; 0 disables).
   std::size_t shed_target_ms = 1000;
@@ -119,7 +118,7 @@ struct Args {
       "  caml active ...                       (hybrid with --routing active)\n"
       "  caml store <models.caml> --info\n"
       "  caml serve <models> --socket PATH [--port N] [--jobs N] [--max-queue N]\n"
-      "            [--max-batch N] [--shed-target-ms N]\n"
+      "            [--shed-target-ms N]\n"
       "  caml query <cell.sp> --socket PATH [--port N] [-o <dir>] [--ping] [--stats]\n"
       "            [--deadline-ms N]\n"
       "policies: static | single | exhaustive (default: exhaustive for\n"
@@ -156,9 +155,8 @@ struct Args {
       "gracefully (in-flight requests finish). --max-queue bounds the\n"
       "accepted-connection backlog; beyond it clients get an OVERLOADED\n"
       "reject with a retry-after hint instead of unbounded queueing.\n"
-      "--max-batch caps how many decoded PREDICT requests one compute\n"
-      "worker coalesces (across connections) into one compute batch\n"
-      "(default 32; 1 = per-request compute).\n"
+      "--jobs sets the compute workers; each answers one decoded PREDICT\n"
+      "request at a time.\n"
       "--shed-target-ms: latency-aware load shedding — when the queue's\n"
       "recent p99 sojourn exceeds the target, new PREDICTs are rejected\n"
       "OVERLOADED before queueing (default 1000; 0 disables). Requests\n"
@@ -215,10 +213,6 @@ Args parse_args(int argc, char** argv) {
       args.port = static_cast<std::uint16_t>(port);
     }
     else if (a == "--max-queue") args.max_queue = count_value();
-    else if (a == "--max-batch") {
-      args.max_batch = count_value();
-      if (args.max_batch == 0) usage("--max-batch needs a value >= 1");
-    }
     else if (a == "--shed-target-ms") args.shed_target_ms = count_value();
     else if (a == "--deadline-ms") {
       args.deadline_ms = count_value();
@@ -508,7 +502,6 @@ int cmd_serve(const Args& args) {
   options.tcp_port = args.port;
   options.jobs = args.jobs;
   options.max_queue = args.max_queue;
-  options.max_batch = args.max_batch;
   options.sojourn_target_ms = static_cast<int>(args.shed_target_ms);
   serve::Server server(std::move(store), options);
   // Store-fault recovery: when a serving mmap snapshot faults (backing
@@ -546,7 +539,7 @@ int cmd_serve(const Args& args) {
     if (sig == SIGHUP) {
       // Hot reload: open + validate on this thread (workers keep serving
       // the current store), swap in only on success. The store re-maps;
-      // the old mapping stays alive until the last in-flight batch drops
+      // the old mapping stays alive until the last in-flight request drops
       // its snapshot.
       try {
         server.reload(open_store_timed(store_path));
