@@ -4,11 +4,11 @@
 // S; the active policy is then run at fractions of S and must buy at
 // least the same model quality once it can afford the same spend.
 //
-// Output: one `RESULT active_budget key=value ...` line per flow run
-// (parsed by scripts/run_bench.sh into BENCH_PR9.json), plus a
-// human-readable curve. Exit status 1 if the active policy at the full
-// budget falls more than 0.002 mean accuracy below the structural
-// baseline — the acceptance gate of the active-learning PR.
+// Output: the accuracy-vs-budget curve as a table, one row per flow
+// run. Exit status 1 if the active policy at the full budget falls more
+// than 0.002 mean accuracy below the structural baseline, if any point
+// spends more than its budget, or if acquisitions shrink as the budget
+// grows.
 //
 // Deterministic: fixed builder seeds, exhaustive stimuli, and the
 // active loop's by-construction determinism (fixed forest seeds, any
@@ -25,6 +25,7 @@
 #include "libgen/technology.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -49,14 +50,17 @@ double accuracy98(const HybridReport& report) {
   return static_cast<double>(n) / static_cast<double>(report.outcomes.size());
 }
 
-void result_line(const std::string& policy, double frac, double budget, double spent,
-                 std::size_t acquired, const HybridReport& report) {
-  std::cout << "RESULT active_budget policy=" << policy
-            << " budget_frac=" << format_fixed(frac, 2)
-            << " budget_s=" << format_fixed(budget, 1) << " spent_s=" << format_fixed(spent, 1)
-            << " acquired=" << acquired << " targets=" << report.outcomes.size()
-            << " mean_acc=" << format_fixed(mean_accuracy(report), 4)
-            << " acc98=" << format_fixed(accuracy98(report), 4) << "\n";
+void add_row(TextTable& table, const std::string& policy, double frac, double budget,
+             double spent, std::size_t acquired, const HybridReport& report) {
+  table.new_row();
+  table.cell(policy);
+  table.cell(frac, 2);
+  table.cell(budget, 1);
+  table.cell(spent, 1);
+  table.cell(static_cast<long long>(acquired));
+  table.cell(static_cast<long long>(report.outcomes.size()));
+  table.cell(mean_accuracy(report), 4);
+  table.cell(accuracy98(report), 4);
 }
 
 }  // namespace
@@ -110,10 +114,19 @@ int main(int argc, char** argv) {
     if (!o.routed_to_ml) reference_spend += o.conventional_seconds;
   }
   const std::size_t base_simulated = base.outcomes.size() - base.count_routed_to_ml();
-  result_line("structural", 1.0, reference_spend, reference_spend, base_simulated, base);
+  TextTable curve;
+  curve.new_row();
+  for (const char* header : {"policy", "budget/S", "budget s", "spent s", "acquired", "targets",
+                             "mean acc", "acc>=98%"}) {
+    curve.cell(header);
+  }
+  add_row(curve, "structural", 1.0, reference_spend, reference_spend, base_simulated, base);
 
   const double fractions[] = {0.25, 0.5, 1.0};
   double active_full_acc = 0.0;
+  bool within_budget = true;
+  bool monotone = true;
+  std::size_t prev_acquired = 0;
   for (const double frac : fractions) {
     active::ActiveOptions options;
     options.base.ml = bench::ml_options();
@@ -121,19 +134,36 @@ int main(int argc, char** argv) {
     options.sim_budget = frac * reference_spend;
     options.max_rounds = quick ? 3 : 6;
     const active::ActiveReport report = active::run_active_flow(training, targets, options);
-    result_line("active", frac, report.budget, report.spent, report.acquired, report.hybrid);
+    add_row(curve, "active", frac, report.budget, report.spent, report.acquired, report.hybrid);
     if (frac == 1.0) active_full_acc = mean_accuracy(report.hybrid);
+    // The budget is a hard ceiling, and more budget never buys fewer
+    // simulations.
+    within_budget = within_budget && report.spent <= report.budget + 1e-6;
+    monotone = monotone && report.acquired >= prev_acquired;
+    prev_acquired = report.acquired;
   }
+  curve.print(std::cout);
 
   const double base_acc = mean_accuracy(base);
   std::cout << "\nstructural baseline spend S = " << format_fixed(reference_spend, 1)
             << " modeled seconds (" << base_simulated << " simulated cells)\n";
   std::cout << "mean accuracy: structural " << format_fixed(base_acc, 4) << " vs active@1.0S "
             << format_fixed(active_full_acc, 4) << "\n";
+  bool ok = true;
   if (active_full_acc + 0.002 < base_acc) {
     std::cerr << "FAIL: active routing at the full budget lost more than 0.002 mean accuracy\n";
-    return 1;
+    ok = false;
   }
-  std::cout << "PASS: active routing at equal budget matches the structural baseline\n";
+  if (!within_budget) {
+    std::cerr << "FAIL: an active run spent more than its budget\n";
+    ok = false;
+  }
+  if (!monotone) {
+    std::cerr << "FAIL: acquisitions are not monotone in the budget\n";
+    ok = false;
+  }
+  if (!ok) return 1;
+  std::cout << "PASS: active routing at equal budget matches the structural baseline, "
+               "within budget and monotone\n";
   return 0;
 }

@@ -77,8 +77,8 @@ Dataset make_forest_workload(std::size_t rows) {
 
 int main(int argc, char** argv) {
   // --quick: a seconds-scale smoke of the same sweep (smaller library,
-  // fewer rows/trees, jobs 1-2) used by scripts/run_bench.sh --quick and
-  // the cmake verify target; the determinism checks still run.
+  // fewer rows/trees, jobs 1-2) used by the cmake verify target; the
+  // determinism checks still run.
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;

@@ -11,8 +11,12 @@
 //     server-side decode-to-response-written latencies.
 //
 // Both sweeps end with a determinism check: every configuration and
-// both modes must produce byte-identical predictions. --quick shrinks
-// the sweep to a seconds-scale smoke for the cmake `verify` target.
+// both modes must produce byte-identical predictions. Tail gate: every
+// roundtrip row must keep p99/p50 below 10 (the old pinned-worker
+// design sat near 200x at workers=1). The binary exits 1 if a request
+// was dropped, a prediction differed or the tail gate failed. --quick
+// shrinks the sweep to a seconds-scale smoke for the cmake `verify`
+// target.
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,6 +44,7 @@ using namespace caml;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kClients = 8;  // concurrent connections
+constexpr double kMaxTailRatio = 10.0;  // roundtrip p99/p50 gate
 
 struct RunResult {
   std::size_t total = 0;   // requests answered kPredictOk
@@ -226,10 +231,12 @@ int main(int argc, char** argv) {
   roundtrip.cell("p99/p50");
   roundtrip.cell("speedup");
   double baseline_seconds = 0.0;
+  bool tail_ok = true;
   for (const std::size_t workers : worker_sweep) {
     const RunResult r =
         run_roundtrip(store, netlist, socket_path, workers, requests_per_client);
     check(r);
+    tail_ok = tail_ok && tail_ratio(r) < kMaxTailRatio;
     if (workers == worker_sweep.front()) baseline_seconds = r.seconds;
     roundtrip.new_row();
     roundtrip.cell(std::to_string(workers));
@@ -273,6 +280,8 @@ int main(int argc, char** argv) {
 
   std::cout << "all requests served: " << (all_ok ? "yes" : "NO — DROPPED REQUESTS")
             << "\npredictions identical across configurations: "
-            << (identical ? "yes" : "NO — DETERMINISM BUG") << '\n';
-  return (all_ok && identical) ? 0 : 1;
+            << (identical ? "yes" : "NO — DETERMINISM BUG")
+            << "\nroundtrip p99/p50 below " << kMaxTailRatio << " on every row: "
+            << (tail_ok ? "yes" : "NO — TAIL LATENCY REGRESSED") << '\n';
+  return (all_ok && identical && tail_ok) ? 0 : 1;
 }

@@ -9,7 +9,16 @@
 // rebind). Both record per-defect latency into obs histograms and report
 // the run's p50/p99 (snapshot-diffed, so sweep iterations don't bleed
 // into each other) plus defect simulations per second.
+//
+// Gate: for every cell whose defect_sweep and defect_sweep_copy rows
+// both ran, the overlay kernel must reach at least 2x the baseline's
+// defect_sims_per_s; otherwise the binary exits 1.
 #include <benchmark/benchmark.h>
+
+#include <iostream>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "defect/injector.hpp"
 #include "defect/overlay.hpp"
@@ -18,6 +27,7 @@
 #include "libgen/builder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/switch_sim.hpp"
+#include "util/strings.hpp"
 #include "util/timing.hpp"
 
 namespace {
@@ -123,6 +133,57 @@ void BM_DefectSimulationOverlay(benchmark::State& state, const std::string& func
   report_defect_counters(state, hist, before, stimuli.size(), defects.size());
 }
 
+/// Forwards everything to the display reporter --benchmark_format
+/// selects and keeps each finished row's defect_sims_per_s counter,
+/// keyed by benchmark name, for the kernel gate.
+class SweepRateReporter : public benchmark::BenchmarkReporter {
+ public:
+  bool ReportContext(const Context& context) override { return display_->ReportContext(context); }
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      const auto it = run.counters.find("defect_sims_per_s");
+      if (run.run_type == Run::RT_Iteration && !run.error_occurred && it != run.counters.end()) {
+        rates[run.benchmark_name()] = it->second.value;
+      }
+    }
+    display_->ReportRuns(runs);
+  }
+
+  void Finalize() override { display_->Finalize(); }
+
+  std::map<std::string, double> rates;
+
+ private:
+  // Owned by the benchmark library; needs the flags benchmark::Initialize
+  // parsed.
+  benchmark::BenchmarkReporter* display_ = benchmark::CreateDefaultDisplayReporter();
+};
+
+/// The overlay kernel must stay >= 2x the copy baseline on every cell
+/// measured both ways. Returns false (after printing why) otherwise.
+bool kernel_speedup_holds(const std::map<std::string, double>& rates) {
+  constexpr double kMinSpeedup = 2.0;
+  const std::string overlay = "defect_sweep/";
+  const std::string copy = "defect_sweep_copy/";
+  bool ok = true;
+  for (const auto& [name, rate] : rates) {
+    if (name.rfind(overlay, 0) != 0) continue;
+    const std::string cell = name.substr(overlay.size());
+    const auto base = rates.find(copy + cell);
+    if (base == rates.end() || base->second <= 0.0) continue;
+    const double speedup = rate / base->second;
+    std::cout << "kernel speedup vs copy baseline, " << cell << ": "
+              << format_fixed(speedup, 2) << "x\n";
+    if (speedup < kMinSpeedup) {
+      std::cerr << "FAIL: overlay kernel on " << cell << " is below " << kMinSpeedup
+                << "x the copy baseline\n";
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -154,6 +215,7 @@ int main(int argc, char** argv) {
     BM_DefectSimulationOverlay(s, "AOI21", {2, V::kSplit});
   });
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  SweepRateReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  return kernel_speedup_holds(reporter.rates) ? 0 : 1;
 }

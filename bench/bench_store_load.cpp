@@ -14,11 +14,13 @@
 //     prediction` through a real in-process daemon on a trained NAND2
 //     store.
 //
-// Output: one `RESULT key=value ...` line per measurement (parsed by
-// scripts/run_bench.sh into BENCH_PR7.json) plus a human-readable table.
-// A final identity check re-verifies byte-identical hexfloat
-// probabilities between the in-memory forests the store was written
-// from and the mapped store. --quick shrinks the sweep to a
+// Output: a table of the scale sweep and the cold-start time. Gates
+// (exit 1 on failure): an identity check re-verifies byte-identical
+// hexfloat probabilities between the in-memory forests the store was
+// written from and the mapped store; the sweep holds a 1x store and at
+// least one more scale, the largest >= 10x the 1x node count; and the
+// largest store's map-only open stays under 5x the 1x store's (the
+// open must not track forest size). --quick shrinks the sweep to a
 // seconds-scale smoke.
 #include <unistd.h>
 
@@ -28,7 +30,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -43,6 +44,7 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "store/binary_store.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -190,6 +192,35 @@ double serve_cold_start_us(const std::string& store_path, const std::string& net
   return us;
 }
 
+/// The O(header+index) claim: across a sweep whose largest forest is
+/// >= 10x the 1x store, map-only open time grows < 5x (the slack
+/// absorbs page-fault noise). Prints the verdict; false on failure.
+bool map_only_open_is_flat(const std::vector<LoadRow>& rows) {
+  const auto base = std::find_if(rows.begin(), rows.end(),
+                                 [](const LoadRow& r) { return r.scale == 1; });
+  if (base == rows.end() || rows.size() < 2) {
+    std::cerr << "FAIL: the sweep needs a 1x store and at least one larger scale\n";
+    return false;
+  }
+  const LoadRow& largest = *std::max_element(
+      rows.begin(), rows.end(),
+      [](const LoadRow& a, const LoadRow& b) { return a.nodes_per_tree < b.nodes_per_tree; });
+  const double growth = static_cast<double>(largest.nodes_per_tree) /
+                        static_cast<double>(base->nodes_per_tree);
+  const double ratio = largest.bin_open_map_us / std::max(base->bin_open_map_us, 1.0);
+  std::cout << "map-only open, largest vs 1x store: " << format_fixed(ratio, 2) << "x for "
+            << format_fixed(growth, 0) << "x nodes\n";
+  if (growth < 10.0) {
+    std::cerr << "FAIL: the largest store must be >= 10x the 1x forest\n";
+    return false;
+  }
+  if (ratio >= 5.0) {
+    std::cerr << "FAIL: map-only open scaled with forest size\n";
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -243,15 +274,8 @@ int main(int argc, char** argv) {
       clf->predict_batch(probe.data(), 64, 12);
     });
     rows.push_back(row);
-
-    std::cout << "RESULT load scale=" << row.scale << " nodes_per_tree=" << row.nodes_per_tree
-              << " bin_bytes=" << row.bin_bytes << std::fixed << std::setprecision(1)
-              << " bin_open_full_us=" << row.bin_open_full_us
-              << " bin_open_map_us=" << row.bin_open_map_us
-              << " first_answer_us=" << row.first_answer_us << std::defaultfloat << "\n";
   }
 
-  std::cout << "\n";
   TextTable table;
   table.new_row();
   table.cell("scale");
@@ -270,6 +294,7 @@ int main(int argc, char** argv) {
     table.cell(row.first_answer_us / 1000.0, 2);
   }
   table.print(std::cout);
+  const bool scaling_ok = map_only_open_is_flat(rows);
   std::cout << "\n";
 
   // Identity: each mapped store answers with the same bits as the
@@ -291,9 +316,8 @@ int main(int argc, char** argv) {
   const Library lib = build_library(technology_28soi(), comp);
   const std::string netlist = SpiceWriter().to_string(lib.cells.front().cell);
   const double cold = serve_cold_start_us(trained_path, netlist);
-  std::cout << "RESULT cold_start backend=binary us=" << std::fixed << std::setprecision(1)
-            << cold << std::defaultfloat << "\n";
+  std::cout << "  binary store: " << format_fixed(cold / 1000.0, 2) << " ms\n";
 
   std::filesystem::remove_all(work);
-  return identical ? 0 : 1;
+  return (identical && scaling_ok) ? 0 : 1;
 }

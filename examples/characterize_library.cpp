@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
   std::size_t static_total = 0, dynamic_total = 0;
   for (const LibraryCell& lc : library.cells) {
     const CharacterizedCell cell = characterize_cell(lc, library.technology, options);
-    std::ofstream os(out_dir + "/" + lc.cell.name() + ".camodel");
-    write_ca_model(os, cell.model, lc.cell);
+    write_ca_model_file(out_dir + "/" + lc.cell.name() + ".camodel", cell.model, lc.cell);
     static_total += cell.model.count_class(DefectClass::kStatic);
     dynamic_total += cell.model.count_class(DefectClass::kDynamic);
     std::cout << "  " << lc.cell.name() << ": " << cell.model.defects.size() << " defects, "

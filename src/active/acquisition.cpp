@@ -7,15 +7,6 @@
 
 namespace caml::active {
 
-double structural_prior(StructureMatch match) {
-  switch (match) {
-    case StructureMatch::kIdentical: return 1.0;
-    case StructureMatch::kEquivalent: return 0.6;
-    case StructureMatch::kNew: return 0.0;
-  }
-  return 0.0;
-}
-
 double blended_confidence(const std::vector<double>& proba, const std::vector<double>& margin) {
   CAML_ASSERT(!proba.empty());
   CAML_ASSERT(proba.size() == margin.size());

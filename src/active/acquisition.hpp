@@ -3,8 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "flow/structural.hpp"
-
 namespace caml::active {
 
 /// Per-candidate acquisition score of one round. `confidence` is the
@@ -15,13 +13,6 @@ struct CandidateScore {
   std::size_t cell_index = 0;
   double confidence = 0.0;
 };
-
-/// Structural-similarity prior of the hybrid policy: how much the
-/// structure index already vouches for a cell before the forest has
-/// seen a single row of it. Identical structures are fully covered by
-/// construction (the paper's sweet spot), equivalent ones mostly, new
-/// ones not at all.
-double structural_prior(StructureMatch match);
 
 /// Blended per-cell confidence: the mean over the cell's CA-matrix rows
 /// of 0.5 * |2p - 1| (soft-vote margin from predict_proba_batch) +

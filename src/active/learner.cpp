@@ -161,16 +161,14 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
   const HybridOptions& base = options.base;
   if (base.routing == RoutingPolicy::kStructural) {
     throw Error(
-        "run_active_flow implements the active and hybrid policies; route 'structural' "
-        "through run_hybrid_flow");
+        "run_active_flow implements the active policy; route 'structural' through "
+        "run_hybrid_flow");
   }
-  const bool use_prior = base.routing == RoutingPolicy::kHybrid;
 
   CAML_TRACE_SPAN_ITEMS("active_flow", targets.size());
   ActiveMetrics& metrics = ActiveMetrics::get();
 
   ActiveReport report;
-  report.policy = base.routing;
   report.budget = options.sim_budget;
 
   // --- mutable loop state -------------------------------------------------
@@ -219,10 +217,10 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
   }
 
   // Trains every dirty group on its current pool: full fit for new
-  // groups (or with full_refit), warm-start growth of trees_per_round
-  // trees otherwise. Runs at each round start and once after the loop,
-  // so live and resumed runs walk the same (dataset, increment)
-  // sequence per group — the incremental forests are byte-identical.
+  // groups, warm-start growth of trees_per_round trees otherwise. Runs
+  // at each round start and once after the loop, so live and resumed
+  // runs walk the same (dataset, increment) sequence per group — the
+  // incremental forests are byte-identical.
   const auto retrain = [&] {
     for (auto& [key, is_dirty] : dirty) {
       if (!is_dirty) continue;
@@ -237,9 +235,6 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
           RandomForest forest(base.ml.forest);
           forest.fit(data);
           forests.emplace(key, std::move(forest));
-        } else if (options.full_refit) {
-          fit->second = RandomForest(base.ml.forest);
-          fit->second.fit(data);
         } else {
           fit->second.fit_more(data, options.trees_per_round);
         }
@@ -351,11 +346,6 @@ ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
               const std::vector<double> margin = fit->second.predict_margin_grid(grid);
               confidence = blended_confidence(proba, margin);
             }
-          }
-          if (use_prior) {
-            confidence = (1.0 - options.structural_prior_weight) * confidence +
-                         options.structural_prior_weight *
-                             structural_prior(index.classify(cell.canonical));
           }
           return CandidateScore{i, confidence};
         });

@@ -18,12 +18,10 @@ enum class BudgetUnit {
 const char* budget_unit_name(BudgetUnit unit);
 std::optional<BudgetUnit> parse_budget_unit(std::string_view name);
 
-/// Knobs of the budgeted acquisition loop. `base.routing` selects the
-/// score: kActive = pure forest uncertainty, kHybrid = uncertainty
-/// blended with the structural-similarity prior. The loop is
-/// deterministic by construction: fixed seeds + any `jobs` value yield
-/// the same acquisition order, journals and final forests byte for
-/// byte (see docs/ACTIVE_LEARNING.md).
+/// Knobs of the budgeted acquisition loop, which scores candidates by
+/// forest uncertainty. The loop is deterministic by construction: fixed
+/// seeds + any `jobs` value yield the same acquisition order, journals
+/// and final forests byte for byte (see docs/ACTIVE_LEARNING.md).
 struct ActiveOptions {
   ActiveOptions() { base.routing = RoutingPolicy::kActive; }
 
@@ -43,14 +41,8 @@ struct ActiveOptions {
   /// at least 1).
   std::size_t acquisitions_per_round = 0;
   /// Trees grown per retrain when warm-starting (RandomForest::fit_more
-  /// on the enlarged pool). Ignored with full_refit.
+  /// on the enlarged pool).
   std::size_t trees_per_round = 4;
-  /// Fallback switch: refit every dirty group's forest from scratch
-  /// each round instead of growing trees_per_round trees.
-  bool full_refit = false;
-  /// Weight of the structural prior under RoutingPolicy::kHybrid
-  /// (confidence' = (1-w) * confidence + w * prior).
-  double structural_prior_weight = 0.25;
   /// Convergence: the loop stops once every remaining candidate's
   /// blended confidence reaches this margin.
   double converge_margin = 0.995;
@@ -81,7 +73,6 @@ struct ActiveReport {
   /// scored against ground truth.
   HybridReport hybrid;
   std::vector<RoundStats> rounds;
-  RoutingPolicy policy = RoutingPolicy::kActive;
   double budget = 0.0;  ///< <= 0 = unlimited
   double spent = 0.0;   ///< total acquisition cost actually spent
   std::size_t acquired = 0;
@@ -103,7 +94,7 @@ struct ActiveReport {
 /// least certain under the budget, fold them into the training pool,
 /// retrain incrementally, repeat until the budget is spent or margins
 /// converge — then predict everything still unacquired with the final
-/// forests. `options.base.routing` must be kActive or kHybrid.
+/// forests. `options.base.routing` must be kActive.
 ActiveReport run_active_flow(const std::vector<CharacterizedCell>& training,
                              const std::vector<CharacterizedCell>& targets,
                              const ActiveOptions& options = {});

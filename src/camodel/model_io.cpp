@@ -194,7 +194,7 @@ void write_ca_model_file(const std::string& path, const CaModel& model, const Ce
 }
 
 CaModel read_ca_model_file(const std::string& path, const Cell& cell) {
-  const std::string text = io::read_checksummed_or_raw(path, "camodel");
+  const std::string text = io::read_checksummed_file(path, "camodel");
   try {
     return ca_model_from_string(text, cell);
   } catch (const ParseError& e) {

@@ -30,12 +30,11 @@ std::string ca_model_to_string(const CaModel& model, const Cell& cell);
 CaModel ca_model_from_string(const std::string& text, const Cell& cell);
 
 /// Durable .camodel file: the CAMODEL text wrapped in a checksummed
-/// CAMLF1 container (kind "camodel") and published atomically — the
-/// form the characterization checkpoints write, so a truncated or
-/// bit-flipped artifact is rejected on load (ParseError naming the file
-/// and offset) instead of training on garbage. read_ca_model_file also
-/// accepts a legacy unframed .camodel file (the interchange form that
-/// `caml predict`/`caml query` emit).
+/// CAMLF1 container (kind "camodel") and published atomically — the one
+/// on-disk form, written by characterization, `caml predict -o` and
+/// `caml query -o` alike. A truncated, bit-flipped or unframed file is
+/// rejected on load (ParseError naming the file and offset) instead of
+/// training on garbage.
 void write_ca_model_file(const std::string& path, const CaModel& model, const Cell& cell);
 CaModel read_ca_model_file(const std::string& path, const Cell& cell);
 

@@ -94,7 +94,6 @@ const char* routing_policy_name(RoutingPolicy policy) {
   switch (policy) {
     case RoutingPolicy::kStructural: return "structural";
     case RoutingPolicy::kActive: return "active";
-    case RoutingPolicy::kHybrid: return "hybrid";
   }
   return "?";
 }
@@ -102,7 +101,6 @@ const char* routing_policy_name(RoutingPolicy policy) {
 std::optional<RoutingPolicy> parse_routing_policy(std::string_view name) {
   if (name == "structural") return RoutingPolicy::kStructural;
   if (name == "active") return RoutingPolicy::kActive;
-  if (name == "hybrid") return RoutingPolicy::kHybrid;
   return std::nullopt;
 }
 

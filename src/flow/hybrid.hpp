@@ -15,9 +15,7 @@ namespace caml {
 ///   kActive     — budgeted uncertainty sampling: simulate the cells the
 ///                 forest is least certain about, retrain, repeat
 ///                 (active::run_active_flow in src/active).
-///   kHybrid     — kActive with a structural-similarity prior blended
-///                 into the acquisition score.
-enum class RoutingPolicy { kStructural, kActive, kHybrid };
+enum class RoutingPolicy { kStructural, kActive };
 
 const char* routing_policy_name(RoutingPolicy policy);
 std::optional<RoutingPolicy> parse_routing_policy(std::string_view name);
@@ -82,9 +80,8 @@ struct HybridOptions {
   MlOptions ml;
   CostModel cost;
   /// Routing policy. run_hybrid_flow implements kStructural only and
-  /// throws on the others — callers (CLI, bench) dispatch kActive /
-  /// kHybrid to active::run_active_flow, which layers above this
-  /// library.
+  /// throws on kActive — callers (CLI, bench) dispatch kActive to
+  /// active::run_active_flow, which layers above this library.
   RoutingPolicy routing = RoutingPolicy::kStructural;
   /// Fig. 7's feedback loop: cells routed to simulation join the
   /// training pool and the structure index for subsequent cells.

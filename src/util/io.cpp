@@ -301,12 +301,6 @@ std::string read_checksummed_file(const std::string& path, std::string_view kind
   return unwrap_checksummed(read_file(path), kind, path);
 }
 
-std::string read_checksummed_or_raw(const std::string& path, std::string_view kind) {
-  std::string bytes = read_file(path);
-  if (!is_checksummed(bytes)) return bytes;
-  return unwrap_checksummed(bytes, kind, path);
-}
-
 namespace {
 
 /// Fixed-width CAMLF1 header so the streaming writer can back-patch the

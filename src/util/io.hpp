@@ -189,11 +189,4 @@ class ChecksummedFileWriter {
 /// read + validate + unwrap in one step.
 std::string read_checksummed_file(const std::string& path, std::string_view kind);
 
-/// Reads a file that is either a validated CAMLF1 container of `kind` or
-/// an unframed artifact (returned verbatim, unvalidated). Only `.camodel`
-/// files load through here: `caml predict` and `caml query` write raw
-/// `.camodel` text that `caml train` and `caml patterns` read back.
-/// Everything else is always framed.
-std::string read_checksummed_or_raw(const std::string& path, std::string_view kind);
-
 }  // namespace caml::io

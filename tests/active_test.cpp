@@ -166,10 +166,6 @@ TEST(ActiveMargin, BlendedConfidenceAndPriorOrdering) {
   EXPECT_DOUBLE_EQ(active::blended_confidence({1.0, 0.0}, {1.0, 1.0}), 1.0);
   EXPECT_DOUBLE_EQ(active::blended_confidence({0.5}, {0.0}), 0.0);
   EXPECT_DOUBLE_EQ(active::blended_confidence({0.75}, {0.5}), 0.5);
-  EXPECT_GT(active::structural_prior(StructureMatch::kIdentical),
-            active::structural_prior(StructureMatch::kEquivalent));
-  EXPECT_GT(active::structural_prior(StructureMatch::kEquivalent),
-            active::structural_prior(StructureMatch::kNew));
 
   std::vector<active::CandidateScore> scores = {{3, 0.5}, {1, 0.5}, {2, 0.1}};
   active::sort_into_acquisition_order(scores);
@@ -290,21 +286,11 @@ TEST(ActiveFlow, ConvergedMarginsStopTheLoopEarly) {
   EXPECT_EQ(report.rounds[0].acquired, 0u);
 }
 
-TEST(ActiveFlow, HybridPolicyBlendsStructuralPrior) {
-  active::ActiveOptions options = small_options();
-  options.base.routing = RoutingPolicy::kHybrid;
-  options.structural_prior_weight = 1.0;  // prior only: new structures first
-  const active::ActiveReport report =
-      active::run_active_flow(corpus().training, corpus().targets, options);
-  EXPECT_EQ(report.policy, RoutingPolicy::kHybrid);
-  // With a pure structural prior the two structurally new XOR2 cells
-  // are the least confident candidates.
-  const std::size_t n = corpus().targets.size();
-  EXPECT_EQ(report.acquired_mask[n - 2], 1);
-  EXPECT_EQ(report.acquired_mask[n - 1], 1);
-}
-
 TEST(ActiveFlow, PolicyMismatchesThrow) {
+  EXPECT_EQ(parse_routing_policy("structural"), RoutingPolicy::kStructural);
+  EXPECT_EQ(parse_routing_policy("active"), RoutingPolicy::kActive);
+  EXPECT_EQ(parse_routing_policy("hybrid"), std::nullopt);
+
   active::ActiveOptions options = small_options();
   options.base.routing = RoutingPolicy::kStructural;
   EXPECT_THROW(active::run_active_flow(corpus().training, corpus().targets, options), Error);
@@ -384,23 +370,6 @@ TEST(ActiveFlow, ResumedRunEqualsUninterrupted) {
   EXPECT_TRUE(resumed.rounds.front().replayed);
   EXPECT_EQ(resumed.acquired_mask, full.acquired_mask);
   EXPECT_DOUBLE_EQ(resumed.spent, full.spent);
-}
-
-TEST(ActiveFlow, FullRefitFallbackStaysDeterministic) {
-  const auto run = [&](std::size_t jobs) {
-    active::ActiveOptions options = small_options();
-    options.full_refit = true;
-    options.jobs = jobs;
-    options.base.ml.forest.jobs = jobs;
-    return active::run_active_flow(corpus().training, corpus().targets, options);
-  };
-  const active::ActiveReport a = run(1);
-  const active::ActiveReport b = run(4);
-  const std::string dir = temp_dir("refit");
-  store::write_binary_store_file(dir + "/a.caml", a.models);
-  store::write_binary_store_file(dir + "/b.caml", b.models);
-  EXPECT_EQ(slurp(dir + "/a.caml"), slurp(dir + "/b.caml"));
-  EXPECT_EQ(a.acquired_mask, b.acquired_mask);
 }
 
 }  // namespace

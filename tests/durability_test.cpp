@@ -171,7 +171,7 @@ TEST(DurableArtifacts, ModelStoreFileRoundTripAndCorruptionRejected) {
     }
   };
   // An unframed store (the payload without its container header) is
-  // rejected like a corrupt one: only .camodel files may be unframed.
+  // rejected like a corrupt one.
   const std::string unframed = dir + "/unframed.caml";
   io::write_file_atomic(unframed, framed.substr(framed.find('\n') + 1));
   expect_rejected_naming(unframed, "an unframed store");
@@ -195,10 +195,15 @@ TEST(DurableArtifacts, CaModelFileRoundTripFramedAndLegacy) {
   const CaModel back = read_ca_model_file(path, cell.cell);
   EXPECT_EQ(ca_model_to_string(back, cell.cell), ca_model_to_string(cc.model, cell.cell));
 
-  // Legacy raw artifact (pre-framing characterize output).
-  io::write_file_atomic(dir + "/legacy.camodel", ca_model_to_string(cc.model, cell.cell));
-  const CaModel legacy = read_ca_model_file(dir + "/legacy.camodel", cell.cell);
-  EXPECT_EQ(ca_model_to_string(legacy, cell.cell), ca_model_to_string(cc.model, cell.cell));
+  // A raw (unframed) .camodel file is refused, naming the file.
+  const std::string raw = dir + "/legacy.camodel";
+  io::write_file_atomic(raw, ca_model_to_string(cc.model, cell.cell));
+  try {
+    read_ca_model_file(raw, cell.cell);
+    ADD_FAILURE() << "expected ParseError for an unframed .camodel file";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(raw), std::string::npos) << e.what();
+  }
 
   flip_tail_byte(path);
   EXPECT_THROW(read_ca_model_file(path, cell.cell), ParseError);

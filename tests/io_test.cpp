@@ -107,18 +107,11 @@ TEST(IoContainer, FramedRoundTrip) {
 }
 
 TEST(IoContainer, FileRoundTripAndLegacyPassthrough) {
-  const std::string dir = temp_dir("container");
-  const std::string framed_path = dir + "/framed.bin";
-  const std::string legacy_path = dir + "/legacy.txt";
+  const std::string framed_path = temp_dir("container") + "/framed.bin";
   const std::string payload = "the payload\n";
 
   io::write_checksummed_file(framed_path, "models", payload);
   EXPECT_EQ(io::read_checksummed_file(framed_path, "models"), payload);
-  EXPECT_EQ(io::read_checksummed_or_raw(framed_path, "models"), payload);
-
-  // A pre-framing artifact loads verbatim through the sniffing reader.
-  io::write_file_atomic(legacy_path, payload);
-  EXPECT_EQ(io::read_checksummed_or_raw(legacy_path, "models"), payload);
 }
 
 TEST(IoContainer, RejectsTruncationCorruptionAndKindMismatch) {

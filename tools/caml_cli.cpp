@@ -6,7 +6,7 @@
 //   caml predict <lib.sp> -m <models.caml> -o <dir>
 //   caml patterns <lib.sp> <camodel-dir>     cell-aware test pattern report
 //   caml hybrid <train.sp> <train-camodels> <target.sp> <target-camodels>
-//               [--routing structural|active|hybrid] [--sim-budget B]
+//               [--routing structural|active] [--sim-budget B]
 //   caml active ...                          hybrid with --routing active
 //   caml store <models.caml> --info          inspect a model store
 //   caml serve <models.caml> --socket PATH   long-lived inference daemon
@@ -93,7 +93,6 @@ struct Args {
   std::size_t rounds = 8;
   std::size_t trees_per_round = 4;
   std::size_t per_round = 0;
-  bool full_refit = false;
   std::string checkpoint_dir;
   // observability
   std::string trace_path;
@@ -111,9 +110,9 @@ struct Args {
       "  caml predict <lib.sp> -m <models.caml> -o <dir> [--policy P] [--jobs N]\n"
       "  caml patterns <lib.sp> <camodel-dir>\n"
       "  caml hybrid <train.sp> <train-camodels> <target.sp> <target-camodels>\n"
-      "              [--routing structural|active|hybrid] [--sim-budget B]\n"
+      "              [--routing structural|active] [--sim-budget B]\n"
       "              [--budget-unit seconds|count] [--rounds N] [--per-round N]\n"
-      "              [--trees-per-round N] [--full-refit] [-o <models.caml>]\n"
+      "              [--trees-per-round N] [-o <models.caml>]\n"
       "              [--checkpoint DIR] [--resume] [--trees N] [--jobs N]\n"
       "  caml active ...                       (hybrid with --routing active)\n"
       "  caml store <models.caml> --info\n"
@@ -135,11 +134,10 @@ struct Args {
       "the rest; --routing active runs the budgeted uncertainty loop\n"
       "(simulate the cells the forest is least sure about, retrain with\n"
       "--trees-per-round extra trees, repeat --rounds times or until\n"
-      "--sim-budget is spent / margins converge); --routing hybrid blends\n"
-      "a structural-similarity prior into the active score. --sim-budget\n"
+      "--sim-budget is spent / margins converge). --sim-budget\n"
       "is modeled SPICE seconds (--budget-unit seconds, default) or a\n"
       "cell count (--budget-unit count); 0 = unlimited. -o saves the\n"
-      "final per-group forests (active/hybrid only) — byte-identical for\n"
+      "final per-group forests (active only) — byte-identical for\n"
       "any --jobs value and across kill+resume (--checkpoint DIR journals\n"
       "acquisition rounds; --resume replays them). See\n"
       "docs/ACTIVE_LEARNING.md.\n"
@@ -163,7 +161,8 @@ struct Args {
       "whose client deadline expires while queued are answered\n"
       "DEADLINE_EXCEEDED without consuming compute.\n"
       "query: sends each cell of <cell.sp> to a running daemon; writes\n"
-      "predicted .camodel files to -o (or stdout). --ping just probes;\n"
+      "predicted .camodel files to -o (CAMLF1-framed, like predict -o)\n"
+      "or raw text to stdout. --ping just probes;\n"
       "--stats dumps the daemon's unified metrics snapshot (Prometheus\n"
       "text exposition) and exits. --deadline-ms N ships a per-request\n"
       "compute deadline (protocol v2); the daemon sheds requests whose\n"
@@ -229,7 +228,6 @@ Args parse_args(int argc, char** argv) {
     else if (a == "--rounds") args.rounds = count_value();
     else if (a == "--trees-per-round") args.trees_per_round = count_value();
     else if (a == "--per-round") args.per_round = count_value();
-    else if (a == "--full-refit") args.full_refit = true;
     else if (a == "--checkpoint") args.checkpoint_dir = value();
     else if (a == "--trace") args.trace_path = value();
     else if (a == "--profile") args.profile = true;
@@ -349,7 +347,7 @@ int cmd_train(const Args& args) {
     }
     CharacterizedCell cc;
     cc.source.cell = cell;
-    cc.model = read_ca_model_file(path, cell);  // framed or legacy raw
+    cc.model = read_ca_model_file(path, cell);
     cc.canonical = canonicalize(cell);
     training.push_back(std::move(cc));
   }
@@ -410,10 +408,10 @@ int cmd_predict(const Args& args) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Outcome& out = outcomes[i];
     if (out.ok) {
-      // Raw .camodel text (byte-compatible with `caml query`), but
-      // published atomically so a crash never leaves a torn file.
-      io::write_file_atomic(args.out + "/" + cells[i].name() + ".camodel",
-                            out.camodel_text);
+      // Framed like every .camodel file (byte-compatible with
+      // `caml query -o`) and published atomically.
+      io::write_checksummed_file(args.out + "/" + cells[i].name() + ".camodel", "camodel",
+                                 out.camodel_text);
       ++predicted_cells;
     } else {
       ++skipped;
@@ -599,7 +597,7 @@ int cmd_query(const Args& args) {
       if (args.out.empty()) {
         std::cout << camodel;
       } else {
-        io::write_file_atomic(args.out + "/" + cell.name() + ".camodel", camodel);
+        io::write_checksummed_file(args.out + "/" + cell.name() + ".camodel", "camodel", camodel);
         std::cout << cell.name() << ": predicted\n";
       }
       ++predicted;
@@ -679,7 +677,7 @@ int cmd_hybrid(const Args& args, RoutingPolicy default_routing) {
   if (!base.checkpoint.dir.empty()) std::filesystem::create_directories(base.checkpoint.dir);
 
   if (routing == RoutingPolicy::kStructural) {
-    if (!args.out.empty()) usage("-o (final model store) needs --routing active|hybrid");
+    if (!args.out.empty()) usage("-o (final model store) needs --routing active");
     const HybridReport report = run_hybrid_flow(training, targets, base);
     for (const HybridCellOutcome& o : report.outcomes) {
       print_outcome_line(targets[o.cell_index], o, false);
@@ -709,7 +707,6 @@ int cmd_hybrid(const Args& args, RoutingPolicy default_routing) {
   options.max_rounds = args.rounds;
   options.acquisitions_per_round = args.per_round;
   options.trees_per_round = args.trees_per_round;
-  options.full_refit = args.full_refit;
   options.jobs = args.jobs;
 
   const active::ActiveReport report = active::run_active_flow(training, targets, options);
@@ -729,7 +726,7 @@ int cmd_hybrid(const Args& args, RoutingPolicy default_routing) {
     ++predicted;
     acc_sum += o.accuracy;
   }
-  std::cout << "routing=" << routing_policy_name(report.policy)
+  std::cout << "routing=" << routing_policy_name(routing)
             << " targets=" << report.hybrid.outcomes.size() << " acquired=" << report.acquired
             << " predicted=" << predicted << " forced=" << report.forced_conventional
             << " degraded=" << report.hybrid.count_degraded()
@@ -755,7 +752,7 @@ int cmd_patterns(const Args& args) {
       std::cerr << "skipping " << cell.name() << ": no model at " << path << '\n';
       continue;
     }
-    const CaModel model = read_ca_model_file(path, cell);  // framed or legacy raw
+    const CaModel model = read_ca_model_file(path, cell);
     const PatternSelection sel = select_patterns(model);
     std::cout << cell.name() << ": " << sel.stimuli.size() << " patterns cover "
               << model.defects.size() - sel.undetected.size() << "/" << model.defects.size()
